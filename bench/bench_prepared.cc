@@ -91,7 +91,7 @@ void BM_PointQueryAdHoc(benchmark::State& state) {
     benchmark::DoNotOptimize(rs->rows);
     key = (key + 1) % p.lits.size();
   }
-  OXML_BENCH_CHECK(hits >= state.iterations());
+  OXML_BENCH_CHECK(hits >= static_cast<size_t>(state.iterations()));
   ReportExecStats(state, f.db.get());
   state.SetLabel(std::string(OrderEncodingToString(f.store->encoding())) +
                  "/adhoc");
@@ -113,7 +113,7 @@ void BM_PointQueryPrepared(benchmark::State& state) {
     benchmark::DoNotOptimize(rs->rows);
     key = (key + 1) % p.binds.size();
   }
-  OXML_BENCH_CHECK(hits >= state.iterations());
+  OXML_BENCH_CHECK(hits >= static_cast<size_t>(state.iterations()));
   ReportExecStats(state, f.db.get());
   state.SetLabel(std::string(OrderEncodingToString(f.store->encoding())) +
                  "/prepared");

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/relational/statement_context.h"
 #include "src/relational/wal.h"
 
 namespace oxml {
@@ -134,33 +135,6 @@ Status FileBackend::Sync() {
   }
   return Status::OK();
 }
-
-// --------------------------------------------------------------- snapshots
-
-namespace {
-/// The snapshot the current thread reads under (null = current state).
-/// Plain thread_local, manipulated only by the scopes below.
-thread_local const ReadSnapshot* tl_read_snapshot = nullptr;
-}  // namespace
-
-const ReadSnapshot* CurrentReadSnapshot() { return tl_read_snapshot; }
-
-ScopedReadSnapshot::ScopedReadSnapshot(uint64_t lsn)
-    : prev_(tl_read_snapshot), active_(true) {
-  snap_.lsn = lsn;
-  tl_read_snapshot = &snap_;
-}
-
-ScopedReadSnapshot::~ScopedReadSnapshot() {
-  if (active_) tl_read_snapshot = prev_;
-}
-
-SnapshotTaskScope::SnapshotTaskScope(const ReadSnapshot* snap)
-    : prev_(tl_read_snapshot) {
-  tl_read_snapshot = snap;
-}
-
-SnapshotTaskScope::~SnapshotTaskScope() { tl_read_snapshot = prev_; }
 
 // ------------------------------------------------------------- page handle
 
@@ -353,7 +327,8 @@ Result<PageHandle> BufferPool::NewPage() {
 }
 
 Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
-  const ReadSnapshot* snap = mvcc_enabled_ ? CurrentReadSnapshot() : nullptr;
+  const std::optional<uint64_t>& lsn = CurrentStatementContext().snapshot_lsn;
+  const uint64_t* snap = mvcc_enabled_ && lsn.has_value() ? &*lsn : nullptr;
   {
     // Fast path: a resident page is pinned under the shared latch, so any
     // number of readers fault-free pages in parallel. Frame addresses are
@@ -368,7 +343,7 @@ Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
     // the exclusive path below. in_txn_ only flips under the exclusive
     // table latch, making this shared-latched read race-free.
     //
-    // Snapshot readers (tl snapshot set; only foreign threads carry one
+    // Snapshot readers (snapshot set; only foreign threads carry one
     // while a transaction is open) stay on the shared path: a resident
     // frame the transaction has NOT dirtied still holds committed bytes —
     // the statement latch keeps writer statements out while reader
@@ -388,7 +363,7 @@ Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
       auto it = frames_.find(page_id);
       if (it != frames_.end()) {
         Frame& f = it->second;
-        if (f.txn_dirty) return ServeVersion(page_id, snap->lsn);
+        if (f.txn_dirty) return ServeVersion(page_id, *snap);
         hits_.fetch_add(1, std::memory_order_relaxed);
         f.pin_count.fetch_add(1, std::memory_order_relaxed);
         LruRemove(&f);
@@ -405,7 +380,7 @@ Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
   if (it != frames_.end()) {
     Frame& f = it->second;
     if (snap != nullptr && in_txn_ && f.txn_dirty) {
-      return ServeVersion(page_id, snap->lsn);
+      return ServeVersion(page_id, *snap);
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (snap == nullptr) CaptureUndo(page_id, f);

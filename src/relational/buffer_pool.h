@@ -98,57 +98,6 @@ class FileBackend : public StorageBackend {
 
 class BufferPool;
 
-/// A reader's MVCC snapshot: queries executed under it observe the state as
-/// of commit LSN `lsn` — the newest committed version of every page, never
-/// bytes dirtied by a still-open transaction. Established per statement by
-/// the Database layer and consulted by BufferPool::FetchPage through a
-/// thread-local (see CurrentReadSnapshot), so deep call chains — heap
-/// iterators, B+tree probes, parallel-scan workers — inherit it without
-/// plumbing a parameter through every signature.
-struct ReadSnapshot {
-  uint64_t lsn = 0;
-};
-
-/// The snapshot the calling thread reads under, or nullptr when it reads
-/// current state (no open transaction, or the thread IS the transaction
-/// owner and must see its own uncommitted writes).
-const ReadSnapshot* CurrentReadSnapshot();
-
-/// Statement-scoped snapshot activation (reader side). Restores the
-/// previous thread-local on destruction so nested statements compose.
-class ScopedReadSnapshot {
- public:
-  /// Inactive scope: leaves the thread-local untouched.
-  ScopedReadSnapshot() = default;
-  /// Activates a snapshot at `lsn` for this thread until destruction.
-  explicit ScopedReadSnapshot(uint64_t lsn);
-  ~ScopedReadSnapshot();
-
-  ScopedReadSnapshot(const ScopedReadSnapshot&) = delete;
-  ScopedReadSnapshot& operator=(const ScopedReadSnapshot&) = delete;
-
- private:
-  ReadSnapshot snap_;
-  const ReadSnapshot* prev_ = nullptr;
-  bool active_ = false;
-};
-
-/// Propagates a statement's snapshot (possibly null) onto a worker thread
-/// for the duration of one parallel task. ThreadPool workers are shared
-/// across statements, so each task re-installs the coordinating statement's
-/// snapshot and restores the worker's previous value on exit.
-class SnapshotTaskScope {
- public:
-  explicit SnapshotTaskScope(const ReadSnapshot* snap);
-  ~SnapshotTaskScope();
-
-  SnapshotTaskScope(const SnapshotTaskScope&) = delete;
-  SnapshotTaskScope& operator=(const SnapshotTaskScope&) = delete;
-
- private:
-  const ReadSnapshot* prev_ = nullptr;
-};
-
 /// RAII pin on a buffered page. While a PageHandle is alive the frame will
 /// not be evicted. Call MarkDirty() after mutating data().
 ///
@@ -215,8 +164,9 @@ class PageHandle {
 /// captures is simultaneously *published* as an immutable page version
 /// stamped with the commit LSN it belongs to (the newest committed LSN at
 /// capture time — i.e. the state the open transaction started from). A
-/// thread carrying a ReadSnapshot (set by the Database layer for reader
-/// statements that overlap a foreign open transaction) is served, for
+/// thread whose StatementContext carries a snapshot LSN (armed by the
+/// Database layer for reader statements that overlap a foreign open
+/// transaction, see statement_context.h) is served, for
 /// txn-dirty frames, the newest published version with base LSN <= its
 /// snapshot LSN instead of the frame's uncommitted bytes; clean resident
 /// frames and backend faults already hold committed state and are served

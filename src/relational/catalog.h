@@ -15,6 +15,7 @@
 #include "src/relational/heap_table.h"
 #include "src/relational/key_codec.h"
 #include "src/relational/schema.h"
+#include "src/relational/statement_context.h"
 
 namespace oxml {
 
@@ -158,10 +159,10 @@ struct IndexTxnDelta {
 
 /// An ordered cursor over one index that readers use instead of a raw
 /// BPlusTree::Iterator. In current-state mode it is a passthrough; in
-/// snapshot mode (an open transaction's delta + a thread-local
-/// ReadSnapshot) it merges the tree's entries — minus the transaction's
-/// inserts — with the transaction's erased entries, yielding the committed
-/// view in exact (key, rid) order.
+/// snapshot mode (an open transaction's delta + a snapshot LSN in the
+/// thread's StatementContext) it merges the tree's entries — minus the
+/// transaction's inserts — with the transaction's erased entries, yielding
+/// the committed view in exact (key, rid) order.
 class IndexCursor {
  public:
   IndexCursor() = default;
@@ -226,7 +227,7 @@ class IndexCursor {
 /// while a transaction is open under MVCC, the logical delta needed by
 /// snapshot readers is maintained alongside the in-place tree (see
 /// IndexTxnDelta). Readers open cursors via ScanFrom/ScanBegin, which pick
-/// snapshot or current-state mode off the thread-local ReadSnapshot.
+/// snapshot or current-state mode off the thread's StatementContext.
 struct TableIndex {
   std::string name;
   std::vector<int> column_indices;  // positions in the table schema
@@ -304,7 +305,8 @@ struct TableIndex {
   /// Snapshot mode: a transaction is being tracked and the calling thread
   /// reads under a snapshot (i.e. it is not the transaction owner).
   bool SnapshotMode() const {
-    return txn_delta != nullptr && CurrentReadSnapshot() != nullptr;
+    return txn_delta != nullptr &&
+           CurrentStatementContext().snapshot_lsn.has_value();
   }
 };
 

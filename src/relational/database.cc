@@ -63,88 +63,10 @@ class InstanceLease {
 
 }  // namespace
 
-/// RAII statement governor: builds the QueryControl for one top-level
-/// statement from the database defaults plus per-call overrides, registers
-/// it for Database::Cancel, and installs it in the thread-local slot the
-/// executor polls. Constructed before the statement latch is taken, so the
-/// deadline clock covers time spent queued behind writers (the wait itself
-/// is not interruptible — cancellation is cooperative and fires at the
-/// first check point after admission, see docs/INTERNALS.md §12).
-///
-/// A statement nested inside another on the same thread (auto-commit
-/// wrappers, ExecuteBatch's inner Execute calls, store TxnScopes) inherits
-/// the enclosing control: the governor then owns nothing and counts
-/// nothing, so each top-level statement is registered and tallied once.
-class StatementGovernor {
- public:
-  StatementGovernor(Database* db, const StatementOptions& opts) : db_(db) {
-    if (CurrentQueryControl() != nullptr) return;  // nested: inherit
-    control_ = std::make_shared<QueryControl>();
-    int64_t timeout_ms =
-        opts.timeout_ms >= 0
-            ? opts.timeout_ms
-            : static_cast<int64_t>(db_->options_.default_statement_timeout_ms);
-    if (timeout_ms > 0) {
-      control_->SetDeadline(std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(timeout_ms));
-    }
-    uint64_t budget =
-        opts.memory_budget_bytes >= 0
-            ? static_cast<uint64_t>(opts.memory_budget_bytes)
-            : db_->options_.statement_memory_budget_bytes;
-    control_->SetMemoryLimits(budget, &db_->global_budget_);
-    uint64_t id = db_->RegisterExternalControl(control_);
-    if (opts.statement_id != nullptr) *opts.statement_id = id;
-    scope_.emplace(control_.get());
-  }
-
-  ~StatementGovernor() {
-    if (control_ == nullptr) return;
-    scope_.reset();
-    db_->UnregisterControl(control_->statement_id());
-  }
-
-  StatementGovernor(const StatementGovernor&) = delete;
-  StatementGovernor& operator=(const StatementGovernor&) = delete;
-
-  /// Tallies the statement's final status into ExecStats (owning governors
-  /// only, so one trip counts once however deeply the failure surfaced).
-  void NoteOutcome(const Status& st) {
-    if (control_ == nullptr || st.ok()) return;
-    if (st.IsDeadlineExceeded()) ++db_->stats_.statements_timed_out;
-    if (st.IsCancelled()) ++db_->stats_.statements_cancelled;
-    if (st.IsResourceExhausted()) ++db_->stats_.mem_budget_rejections;
-  }
-
- private:
-  Database* db_;
-  std::shared_ptr<QueryControl> control_;
-  std::optional<ScopedQueryControl> scope_;
-};
-
-namespace {
-
-/// The session identity attributed to engine calls on this thread (0 =
-/// embedded API). Installed by ScopedSessionIdentity; consulted by the
-/// transaction-ownership checks so a session's transaction can be driven
-/// from any pool thread the server happens to schedule.
-thread_local uint64_t tls_session_id = 0;
-
-}  // namespace
-
-uint64_t CurrentSessionId() { return tls_session_id; }
-
-ScopedSessionIdentity::ScopedSessionIdentity(uint64_t session_id)
-    : prev_(tls_session_id) {
-  tls_session_id = session_id;
-}
-
-ScopedSessionIdentity::~ScopedSessionIdentity() { tls_session_id = prev_; }
-
 bool Database::CurrentThreadOwnsTxn() const {
   if (!txn_open_.load(std::memory_order_acquire)) return false;
   uint64_t session = txn_session_.load(std::memory_order_acquire);
-  if (session != 0) return CurrentSessionId() == session;
+  if (session != 0) return CurrentStatementContext().session_id == session;
   return txn_owner_.load(std::memory_order_relaxed) ==
          std::this_thread::get_id();
 }
@@ -178,6 +100,63 @@ WriteStatementGuard::~WriteStatementGuard() {
   if (status_.ok()) db_->latch_.UnlockExclusive();
 }
 
+// -------------------------------------------------------- statement entry
+
+template <typename Step>
+auto Database::Governed(const StatementOptions& sopts, Step&& step) {
+  StatementContext ctx = CurrentStatementContext();
+  std::shared_ptr<QueryControl> owned;
+  if (ctx.control == nullptr) {
+    // Top-level: built before the latch, so the deadline clock covers time
+    // queued behind writers (the wait itself is not interruptible — the
+    // first check point after admission fires, docs/INTERNALS.md §12).
+    owned = NewStatementControl(sopts);
+    uint64_t id = RegisterControl(owned);
+    if (sopts.statement_id != nullptr) *sopts.statement_id = id;
+    ctx.control = owned.get();
+  }
+  auto r = [&] {
+    ScopedStatementContext scope(ctx);
+    return step(scope);
+  }();
+  if (owned != nullptr) {
+    UnregisterControl(owned->statement_id());
+    // Tallied once per top-level statement, however deeply the failure
+    // surfaced.
+    const Status& st = r.status();
+    if (st.IsDeadlineExceeded()) ++stats_.statements_timed_out;
+    if (st.IsCancelled()) ++stats_.statements_cancelled;
+    if (st.IsResourceExhausted()) ++stats_.mem_budget_rejections;
+  }
+  return r;
+}
+
+template <typename Body>
+auto Database::ReadStatement(const StatementOptions& sopts, Body&& body) {
+  return Governed(sopts, [&](ScopedStatementContext& scope) {
+    SharedStatementGuard guard(&latch_);
+    // A reader overlapping a foreign transaction reads the last committed
+    // state; the owner reads its own uncommitted writes. txn_open_ cannot
+    // flip while the shared latch is held — Begin and the Commit/Rollback
+    // install points hold it exclusively — so the snapshot stays
+    // meaningful for the whole statement.
+    if (options_.enable_mvcc && txn_open_.load(std::memory_order_acquire) &&
+        !CurrentThreadOwnsTxn()) {
+      scope.set_snapshot_lsn(pool_->last_commit_lsn());
+    }
+    return body();
+  });
+}
+
+template <typename Body>
+auto Database::WriteStatement(const StatementOptions& sopts, Body&& body) {
+  return Governed(sopts, [&](ScopedStatementContext&) -> decltype(body()) {
+    WriteStatementGuard guard(this);
+    OXML_RETURN_NOT_OK(guard.status());
+    return body();
+  });
+}
+
 Result<std::unique_ptr<Database>> Database::Open(
     const DatabaseOptions& options) {
   std::unique_ptr<StorageBackend> backend;
@@ -209,8 +188,9 @@ Result<std::unique_ptr<Database>> Database::Open(
         OXML_ASSIGN_OR_RETURN(WalRecovery rec,
                               WriteAheadLog::Recover(wal_path));
         for (const auto& [page_id, image] : rec.pages) {
-          // An embedder bounding recovery time (ScopedQueryControl around
-          // Open) is honored here too, between page applications.
+          // An embedder bounding recovery time (a control installed with
+          // ScopedStatementContext around Open) is honored here too,
+          // between page applications.
           OXML_RETURN_NOT_OK(CheckCurrentControl());
           while (backend->page_count() <= page_id) {
             OXML_RETURN_NOT_OK(backend->AllocatePage().status());
@@ -544,19 +524,6 @@ void Database::SyncMvccStats() {
   stats_.version_chain_max = pool_->version_chain_max();
 }
 
-void Database::MaybeBeginSnapshot(
-    std::optional<ScopedReadSnapshot>* snap) const {
-  if (!options_.enable_mvcc) return;
-  if (!txn_open_.load(std::memory_order_acquire)) return;
-  if (CurrentThreadOwnsTxn()) {
-    return;  // the owner reads its own uncommitted state directly
-  }
-  // txn_open_ cannot flip while this reader holds the shared latch — both
-  // Begin and the Commit/Rollback install points hold it exclusively — so
-  // the armed snapshot stays meaningful for the whole statement.
-  snap->emplace(pool_->last_commit_lsn());
-}
-
 Status Database::Begin() {
   // Gate, don't fail, when another thread's transaction is open: the
   // pre-MVCC exclusive-hold discipline made a second Begin wait its turn,
@@ -584,7 +551,8 @@ Status Database::Begin() {
     // session, not the thread: any pool thread carrying the same identity
     // may run its statements and end it. 0 keeps the thread-bound
     // (embedded) discipline.
-    txn_session_.store(CurrentSessionId(), std::memory_order_release);
+    txn_session_.store(CurrentStatementContext().session_id,
+                       std::memory_order_release);
     txn_open_.store(true, std::memory_order_release);
   }
   if (!options_.enable_mvcc) {
@@ -822,13 +790,7 @@ Result<int64_t> Database::BulkLoadRows(const std::string& table,
   // The bulk load is one governed statement, so the parallel shred/build
   // pipeline's per-unit checks and run-buffer charges have a control to
   // hit (a load started inside an outer statement inherits its control).
-  StatementGovernor governor(this, StatementOptions{});
-  WriteStatementGuard guard(this);
-  if (!guard.status().ok()) {
-    governor.NoteOutcome(guard.status());
-    return guard.status();
-  }
-  auto run = [&]() -> Result<int64_t> {
+  return WriteStatement(StatementOptions{}, [&]() -> Result<int64_t> {
     TableInfo* t = GetTable(table);
     if (t == nullptr) return Status::NotFound("no such table: " + table);
     auto load = [&]() -> Status {
@@ -861,10 +823,7 @@ Result<int64_t> Database::BulkLoadRows(const std::string& table,
       return c;
     }
     return static_cast<int64_t>(rows.size());
-  };
-  Result<int64_t> r = run();
-  governor.NoteOutcome(r.status());
-  return r;
+  });
 }
 
 void Database::InvalidatePlans() {
@@ -1077,25 +1036,12 @@ Result<ResultSet> Database::QueryLocked(std::string_view sql, Row* params) {
 
 Result<ResultSet> Database::Query(std::string_view sql,
                                   const StatementOptions& sopts) {
-  // Governor before the latch: the deadline clock covers queueing time.
-  StatementGovernor governor(this, sopts);
-  SharedStatementGuard guard(&latch_);
-  std::optional<ScopedReadSnapshot> snap;
-  MaybeBeginSnapshot(&snap);
-  Result<ResultSet> r = QueryLocked(sql, nullptr);
-  governor.NoteOutcome(r.status());
-  return r;
+  return ReadStatement(sopts, [&] { return QueryLocked(sql, nullptr); });
 }
 
 Result<ResultSet> Database::QueryP(std::string_view sql, Row params,
                                    const StatementOptions& sopts) {
-  StatementGovernor governor(this, sopts);
-  SharedStatementGuard guard(&latch_);
-  std::optional<ScopedReadSnapshot> snap;
-  MaybeBeginSnapshot(&snap);
-  Result<ResultSet> r = QueryLocked(sql, &params);
-  governor.NoteOutcome(r.status());
-  return r;
+  return ReadStatement(sopts, [&] { return QueryLocked(sql, &params); });
 }
 
 Status Database::Cancel(uint64_t statement_id) {
@@ -1116,7 +1062,25 @@ Status Database::Cancel(uint64_t statement_id) {
   return Status::OK();
 }
 
-uint64_t Database::RegisterExternalControl(
+std::shared_ptr<QueryControl> Database::NewStatementControl(
+    const StatementOptions& overrides) {
+  auto control = std::make_shared<QueryControl>();
+  int64_t timeout_ms =
+      overrides.timeout_ms >= 0
+          ? overrides.timeout_ms
+          : static_cast<int64_t>(options_.default_statement_timeout_ms);
+  if (timeout_ms > 0) {
+    control->SetDeadline(std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(timeout_ms));
+  }
+  uint64_t budget = overrides.memory_budget_bytes >= 0
+                        ? static_cast<uint64_t>(overrides.memory_budget_bytes)
+                        : options_.statement_memory_budget_bytes;
+  control->SetMemoryLimits(budget, &global_budget_);
+  return control;
+}
+
+uint64_t Database::RegisterControl(
     std::shared_ptr<QueryControl> control) {
   uint64_t id =
       statement_id_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -1167,28 +1131,12 @@ Result<int64_t> Database::ExecuteLocked(std::string_view sql, Row* params) {
 
 Result<int64_t> Database::Execute(std::string_view sql,
                                   const StatementOptions& sopts) {
-  StatementGovernor governor(this, sopts);
-  WriteStatementGuard guard(this);
-  if (!guard.status().ok()) {
-    governor.NoteOutcome(guard.status());
-    return guard.status();
-  }
-  Result<int64_t> r = ExecuteLocked(sql, nullptr);
-  governor.NoteOutcome(r.status());
-  return r;
+  return WriteStatement(sopts, [&] { return ExecuteLocked(sql, nullptr); });
 }
 
 Result<int64_t> Database::ExecuteP(std::string_view sql, Row params,
                                    const StatementOptions& sopts) {
-  StatementGovernor governor(this, sopts);
-  WriteStatementGuard guard(this);
-  if (!guard.status().ok()) {
-    governor.NoteOutcome(guard.status());
-    return guard.status();
-  }
-  Result<int64_t> r = ExecuteLocked(sql, &params);
-  governor.NoteOutcome(r.status());
-  return r;
+  return WriteStatement(sopts, [&] { return ExecuteLocked(sql, &params); });
 }
 
 Result<PreparedStatement> Database::Prepare(std::string_view sql) {
@@ -1252,11 +1200,7 @@ Status PreparedStatement::Refresh() {
 
 Result<ResultSet> PreparedStatement::Query(const StatementOptions& sopts) {
   if (entry_ == nullptr) return Status::Internal("statement not prepared");
-  StatementGovernor governor(db_, sopts);
-  SharedStatementGuard guard(db_->statement_latch());
-  std::optional<ScopedReadSnapshot> snap;
-  db_->MaybeBeginSnapshot(&snap);
-  auto run = [&]() -> Result<ResultSet> {
+  return db_->ReadStatement(sopts, [&]() -> Result<ResultSet> {
     OXML_RETURN_NOT_OK(Refresh());
     if (entry_->kind != StmtKind::kSelect) {
       return Status::InvalidArgument("Query() requires a SELECT statement");
@@ -1274,21 +1218,12 @@ Result<ResultSet> PreparedStatement::Query(const StatementOptions& sopts) {
     entry_->last_row_count.store(rs.rows.size(), std::memory_order_relaxed);
     db_->SyncMvccStats();
     return rs;
-  };
-  Result<ResultSet> r = run();
-  governor.NoteOutcome(r.status());
-  return r;
+  });
 }
 
 Result<int64_t> PreparedStatement::Execute(const StatementOptions& sopts) {
   if (entry_ == nullptr) return Status::Internal("statement not prepared");
-  StatementGovernor governor(db_, sopts);
-  WriteStatementGuard guard(db_);
-  if (!guard.status().ok()) {
-    governor.NoteOutcome(guard.status());
-    return guard.status();
-  }
-  auto run = [&]() -> Result<int64_t> {
+  return db_->WriteStatement(sopts, [&]() -> Result<int64_t> {
     OXML_RETURN_NOT_OK(Refresh());
     ++db_->stats_.statements;
     OXML_ASSIGN_OR_RETURN(PlanInstance * inst,
@@ -1296,53 +1231,44 @@ Result<int64_t> PreparedStatement::Execute(const StatementOptions& sopts) {
     InstanceLease lease(entry_.get(), inst);
     *inst->params = *entry_->bindings;
     return db_->ExecuteEntry(entry_.get(), inst);
-  };
-  Result<int64_t> r = run();
-  governor.NoteOutcome(r.status());
-  return r;
+  });
 }
 
 Result<int64_t> PreparedStatement::ExecuteBatch(
     const std::vector<Row>& rows) {
   if (rows.empty()) return 0;
   if (entry_ == nullptr) return Status::Internal("statement not prepared");
-  // One governor for the whole batch (the inner Execute calls inherit it),
-  // so a deadline or Cancel spans all N executions and the wrapping
-  // transaction rolls the partial batch back.
-  StatementGovernor governor(db_, StatementOptions{});
-  WriteStatementGuard guard(db_);
-  if (!guard.status().ok()) {
-    governor.NoteOutcome(guard.status());
-    return guard.status();
-  }
-  OXML_RETURN_NOT_OK(Refresh());
-  bool dml = entry_->kind == StmtKind::kInsert ||
-             entry_->kind == StmtKind::kUpdate ||
-             entry_->kind == StmtKind::kDelete;
-  // One transaction (one WAL commit + fsync) for the whole batch: either
-  // every row lands or none does.
-  bool wrap = dml && !db_->InTransaction();
-  if (wrap) OXML_RETURN_NOT_OK(db_->Begin());
-  int64_t total = 0;
-  for (const Row& row : rows) {
-    Status st = BindAll(row);
-    Result<int64_t> n = st.ok() ? Execute() : Result<int64_t>(st);
-    if (!n.ok()) {
-      if (wrap) (void)db_->Rollback();
-      governor.NoteOutcome(n.status());
-      return n.status();
+  // One statement for the whole batch (the inner Execute calls inherit its
+  // control), so a deadline or Cancel spans all N executions and the
+  // wrapping transaction rolls the partial batch back.
+  return db_->WriteStatement(StatementOptions{}, [&]() -> Result<int64_t> {
+    OXML_RETURN_NOT_OK(Refresh());
+    bool dml = entry_->kind == StmtKind::kInsert ||
+               entry_->kind == StmtKind::kUpdate ||
+               entry_->kind == StmtKind::kDelete;
+    // One transaction (one WAL commit + fsync) for the whole batch: either
+    // every row lands or none does.
+    bool wrap = dml && !db_->InTransaction();
+    if (wrap) OXML_RETURN_NOT_OK(db_->Begin());
+    int64_t total = 0;
+    for (const Row& row : rows) {
+      Status st = BindAll(row);
+      Result<int64_t> n = st.ok() ? Execute() : Result<int64_t>(st);
+      if (!n.ok()) {
+        if (wrap) (void)db_->Rollback();
+        return n.status();
+      }
+      total += *n;
     }
-    total += *n;
-  }
-  if (wrap) {
-    Status c = db_->Commit();
-    if (!c.ok()) {
-      (void)db_->Rollback();
-      governor.NoteOutcome(c);
-      return c;
+    if (wrap) {
+      Status c = db_->Commit();
+      if (!c.ok()) {
+        (void)db_->Rollback();
+        return c;
+      }
     }
-  }
-  return total;
+    return total;
+  });
 }
 
 namespace {

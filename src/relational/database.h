@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <list>
-#include <optional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +21,7 @@
 #include "src/relational/executor.h"
 #include "src/relational/query_control.h"
 #include "src/relational/sql_ast.h"
+#include "src/relational/statement_context.h"
 #include "src/relational/wal.h"
 
 namespace oxml {
@@ -159,27 +159,6 @@ struct StatementOptions {
   /// When non-null, receives the statement id assigned to this call before
   /// execution begins, for use with Database::Cancel from another thread.
   uint64_t* statement_id = nullptr;
-};
-
-/// The session id attributed to engine calls made on the current thread
-/// (0 = none: the embedded API). Installed by ScopedSessionIdentity; the
-/// server wraps every engine call made on a session's behalf so that
-/// transaction ownership follows the session across pool threads.
-uint64_t CurrentSessionId();
-
-/// RAII installation of a session identity in the thread-local slot the
-/// transaction-ownership checks consult. Nesting restores the previous
-/// identity on destruction.
-class ScopedSessionIdentity {
- public:
-  explicit ScopedSessionIdentity(uint64_t session_id);
-  ~ScopedSessionIdentity();
-
-  ScopedSessionIdentity(const ScopedSessionIdentity&) = delete;
-  ScopedSessionIdentity& operator=(const ScopedSessionIdentity&) = delete;
-
- private:
-  uint64_t prev_;
 };
 
 /// Aggregate storage numbers (per database), used by the loading/storage
@@ -492,8 +471,8 @@ class Database {
   bool txn_open() const { return txn_open_.load(std::memory_order_acquire); }
 
   /// True when the calling thread may Commit/Rollback the open transaction:
-  /// either the transaction was begun under a session identity and the
-  /// current thread carries that same identity (ScopedSessionIdentity), or
+  /// either the transaction was begun under a session id and the current
+  /// thread's StatementContext carries that same id, or
   /// — the embedded fallback — the transaction is session-less and the
   /// current thread is the one that called Begin. False when no transaction
   /// is open.
@@ -563,14 +542,20 @@ class Database {
   /// which callers should treat as benign.
   Status Cancel(uint64_t statement_id);
 
-  /// Registers an externally-built QueryControl in the in-flight registry
-  /// and returns the statement id assigned to it, making it reachable by
-  /// Cancel() exactly like a governor-built control. The session layer
-  /// installs such controls around whole statements (so deadline/budget
-  /// defaults and queue time are session-scoped); the nested governor then
-  /// inherits the control instead of registering a second one. Pair with
-  /// UnregisterControl once the statement finishes.
-  uint64_t RegisterExternalControl(std::shared_ptr<QueryControl> control);
+  /// Builds the QueryControl for one statement: the database defaults
+  /// (DatabaseOptions::default_statement_timeout_ms and the memory budgets)
+  /// with `overrides` applied. The deadline clock starts now.
+  std::shared_ptr<QueryControl> NewStatementControl(
+      const StatementOptions& overrides);
+
+  /// Registers a QueryControl in the in-flight registry and returns the
+  /// statement id assigned to it, making it reachable by Cancel(). The
+  /// session layer installs such controls around whole statements (so
+  /// deadline/budget defaults and queue time are session-scoped); the
+  /// nested engine statement then inherits the control instead of
+  /// registering a second one. Pair with UnregisterControl once the
+  /// statement finishes.
+  uint64_t RegisterControl(std::shared_ptr<QueryControl> control);
   void UnregisterControl(uint64_t statement_id);
 
   /// Compiles `sql` (which may contain '?' parameter markers) into a
@@ -627,7 +612,6 @@ class Database {
  private:
   friend class PreparedStatement;
   friend class WriteStatementGuard;
-  friend class StatementGovernor;
 
   // Defined in database.cc: ThreadPool is incomplete here, so both the
   // constructor and destructor must be out of line.
@@ -685,10 +669,25 @@ class Database {
   /// Copies the buffer pool's MVCC counters into stats_ (call sites hold
   /// the statement latch at least shared).
   void SyncMvccStats();
-  /// Arms `snap` with the current commit LSN when this reader statement
-  /// overlaps a foreign thread's open transaction under MVCC; otherwise
-  /// leaves it disengaged and the statement reads current state.
-  void MaybeBeginSnapshot(std::optional<ScopedReadSnapshot>* snap) const;
+
+  /// The two statement entry paths (docs/INTERNALS.md §12). Both give a
+  /// top-level statement its own registered QueryControl and install it
+  /// in the thread's StatementContext before the statement latch, then run
+  /// `body` and tally a governance failure into stats_. A statement nested
+  /// in another on the same thread inherits the enclosing control and
+  /// registers and tallies nothing.
+  ///
+  /// ReadStatement holds the latch shared and arms an MVCC snapshot when a
+  /// foreign transaction is open; WriteStatement runs `body` under a
+  /// WriteStatementGuard.
+  template <typename Body>
+  auto ReadStatement(const StatementOptions& sopts, Body&& body);
+  template <typename Body>
+  auto WriteStatement(const StatementOptions& sopts, Body&& body);
+  /// The shared governance half of both paths: runs `step` under the
+  /// statement's context.
+  template <typename Step>
+  auto Governed(const StatementOptions& sopts, Step&& step);
 
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<WriteAheadLog> wal_;
@@ -712,7 +711,7 @@ class Database {
   /// Thread that issued Begin (default id = none). Mutations from other
   /// threads gate-wait in WriteStatementGuard until the transaction ends.
   std::atomic<std::thread::id> txn_owner_{};
-  /// Session identity (CurrentSessionId) at Begin; 0 for the embedded API.
+  /// Session id of the StatementContext at Begin; 0 for the embedded API.
   /// When non-zero, ownership checks compare session ids instead of thread
   /// ids, so a session's transaction survives being served by different
   /// pool threads.

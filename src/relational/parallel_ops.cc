@@ -62,13 +62,10 @@ Status ParallelScanOp::OpenHeap() {
     stats_->morsels += shards;
     stats_->threads_used.UpdateMax(std::min(pool_->size() + 1, shards));
   }
-  // Pool workers carry no thread-local ReadSnapshot of their own; hand
-  // them the statement's so every shard reads the same committed view.
-  const ReadSnapshot* snap = CurrentReadSnapshot();
-  return pool_->ParallelFor(shards, [&, snap](size_t i) -> Status {
-    SnapshotTaskScope scope(snap);
-    // ParallelFor re-installed the statement's QueryControl on this worker;
-    // poll it per row and charge the partition buffer against its budget.
+  // ParallelFor runs every shard under the statement's context, so each
+  // reads the same committed view, polls the statement's control per row
+  // and charges the partition buffer against its budget.
+  return pool_->ParallelFor(shards, [&](size_t i) -> Status {
     BudgetCharger budget;
     size_t begin = i * chain.size() / shards;
     size_t end = (i + 1) * chain.size() / shards;
@@ -109,9 +106,7 @@ Status ParallelScanOp::OpenIndex() {
     stats_->morsels += shards;
     stats_->threads_used.UpdateMax(std::min(pool_->size() + 1, shards));
   }
-  const ReadSnapshot* snap = CurrentReadSnapshot();
-  return pool_->ParallelFor(shards, [&, snap](size_t i) -> Status {
-    SnapshotTaskScope scope(snap);
+  return pool_->ParallelFor(shards, [&](size_t i) -> Status {
     BudgetCharger budget;
     IndexCursor it = bounds[i].has_value() ? index_->ScanFrom(*bounds[i])
                                            : index_->ScanBegin();

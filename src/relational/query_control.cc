@@ -2,26 +2,6 @@
 
 namespace oxml {
 
-namespace {
-thread_local QueryControl* tl_query_control = nullptr;
-}  // namespace
-
-QueryControl* CurrentQueryControl() { return tl_query_control; }
-
-ScopedQueryControl::ScopedQueryControl(QueryControl* ctl)
-    : prev_(tl_query_control) {
-  tl_query_control = ctl;
-}
-
-ScopedQueryControl::~ScopedQueryControl() { tl_query_control = prev_; }
-
-QueryControlTaskScope::QueryControlTaskScope(QueryControl* ctl)
-    : prev_(tl_query_control) {
-  tl_query_control = ctl;
-}
-
-QueryControlTaskScope::~QueryControlTaskScope() { tl_query_control = prev_; }
-
 QueryControl::~QueryControl() {
   // Statement teardown releases the whole reservation in one step, so
   // error paths that skip operator Close() can never leak global budget.

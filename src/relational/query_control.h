@@ -4,14 +4,13 @@
 // Resource governance for statement execution: deadlines, cooperative
 // cancellation, and memory budgets (see docs/INTERNALS.md §12).
 //
-// A QueryControl is the per-statement governance token. The Database
-// installs one in a thread-local slot for the duration of each top-level
-// statement (nested statements on the same thread inherit it), and
-// ThreadPool::ParallelFor re-installs it inside every worker, so any code
-// on the statement's execution path — operators, parallel shards, the
-// shred pipeline, WAL replay — can poll `CheckCurrentControl()` without
-// plumbing a parameter through every signature. The same pattern as the
-// MVCC read snapshot (buffer_pool.h).
+// A QueryControl is the per-statement governance token. It travels in the
+// thread's StatementContext (statement_context.h): the Database installs
+// one for each top-level statement (nested statements on the same thread
+// inherit it) and ThreadPool::ParallelFor carries it into every worker, so
+// any code on the statement's path — operators, parallel shards, the shred
+// pipeline, WAL replay — can poll `CheckCurrentControl()` without a
+// parameter.
 //
 // Cancellation is cooperative: `Cancel()` flips an atomic flag and the
 // statement aborts at its next check point. Checks are designed to be
@@ -24,6 +23,7 @@
 #include <memory>
 
 #include "src/common/status.h"
+#include "src/relational/statement_context.h"
 #include "src/relational/value.h"
 
 namespace oxml {
@@ -136,45 +136,13 @@ class QueryControl {
   MemoryBudget* global_budget_ = nullptr;
 };
 
-/// The control governing the current thread's statement, or nullptr.
-QueryControl* CurrentQueryControl();
-
 /// kOk when no control is installed; otherwise the control's Check().
 /// The per-row check point used throughout the executor.
 inline Status CheckCurrentControl() {
-  QueryControl* ctl = CurrentQueryControl();
+  QueryControl* ctl = CurrentStatementContext().control;
   if (ctl == nullptr) return Status::OK();
   return ctl->Check();
 }
-
-/// Installs `ctl` as the current thread's control for the scope's
-/// lifetime (statement scope in Database, or an embedder wrapping any
-/// engine call — e.g. Database::Open with a bounded-recovery deadline).
-class ScopedQueryControl {
- public:
-  explicit ScopedQueryControl(QueryControl* ctl);
-  ~ScopedQueryControl();
-
-  ScopedQueryControl(const ScopedQueryControl&) = delete;
-  ScopedQueryControl& operator=(const ScopedQueryControl&) = delete;
-
- private:
-  QueryControl* prev_;
-};
-
-/// Re-installs a captured control inside a pool worker (the analogue of
-/// SnapshotTaskScope). ThreadPool::ParallelFor applies it automatically.
-class QueryControlTaskScope {
- public:
-  explicit QueryControlTaskScope(QueryControl* ctl);
-  ~QueryControlTaskScope();
-
-  QueryControlTaskScope(const QueryControlTaskScope&) = delete;
-  QueryControlTaskScope& operator=(const QueryControlTaskScope&) = delete;
-
- private:
-  QueryControl* prev_;
-};
 
 /// Cheap per-row size estimate used for budget charging (same scale as the
 /// shred pipeline's run sealing: fixed overhead per value + string bytes).
@@ -189,7 +157,7 @@ class BudgetCharger {
  public:
   static constexpr uint64_t kBatchBytes = 32 * 1024;
 
-  BudgetCharger() : ctl_(CurrentQueryControl()) {}
+  BudgetCharger() : ctl_(CurrentStatementContext().control) {}
   explicit BudgetCharger(QueryControl* ctl) : ctl_(ctl) {}
 
   Status AddRow(const Row& row) {

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "src/relational/query_control.h"
+#include "src/relational/statement_context.h"
 
 namespace oxml {
 
@@ -57,10 +58,10 @@ Status ThreadPool::ParallelFor(size_t shards,
   if (shards == 0) return Status::OK();
   if (shards == 1) return fn(0);
 
-  // The statement's governance token rides into every worker (morsel
-  // boundaries are cancellation check points), exactly like the MVCC read
-  // snapshot that the shard lambdas re-install themselves.
-  QueryControl* ctl = CurrentQueryControl();
+  // The caller's statement context — session id, governance token, read
+  // snapshot — rides into every task; morsel boundaries are cancellation
+  // check points.
+  const StatementContext ctx = CurrentStatementContext();
 
   // Shared fan-out state. Helpers that never got scheduled before the
   // caller drained every shard exit immediately (next >= shards), so the
@@ -74,12 +75,12 @@ Status ThreadPool::ParallelFor(size_t shards,
   };
   auto state = std::make_shared<FanOut>();
 
-  auto drain = [state, shards, &fn, ctl] {
-    QueryControlTaskScope control_scope(ctl);
+  auto drain = [state, shards, &fn, &ctx] {
+    ScopedStatementContext scope(ctx);
     size_t i;
     while ((i = state->next.fetch_add(1, std::memory_order_relaxed)) <
            shards) {
-      Status st = ctl != nullptr ? ctl->Check() : Status::OK();
+      Status st = CheckCurrentControl();
       if (st.ok()) st = fn(i);
       if (!st.ok()) {
         std::lock_guard<std::mutex> lock(state->mu);

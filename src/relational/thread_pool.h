@@ -38,13 +38,16 @@ class ThreadPool {
   /// the call makes progress even when the pool is saturated by other
   /// callers. Blocks until every shard has finished; returns the first
   /// non-OK status (remaining shards still run, their errors are dropped).
+  /// Every shard runs under a copy of the caller's StatementContext, and a
+  /// cancelled or expired control stops the shards not yet claimed.
   Status ParallelFor(size_t shards, const std::function<Status(size_t)>& fn);
 
   /// Enqueues one standalone task for any worker to run (fire-and-forget;
   /// the caller arranges its own completion signalling). Used by the server
   /// front end to execute protocol frames on pool workers. Tasks queued at
   /// destruction time still run: the destructor drains the queue before
-  /// joining. Unlike ParallelFor, the calling thread never participates.
+  /// joining. Unlike ParallelFor, the calling thread never participates,
+  /// and the task starts with an empty StatementContext.
   void Submit(std::function<void()> task);
 
   /// Drains the queue and joins every worker; idempotent (the destructor

@@ -289,7 +289,7 @@ Result<WalRecovery> WriteAheadLog::Recover(const std::string& path) {
   size_t pos = kHeaderSize;
   while (true) {
     // Honor a caller-installed control per record, so an embedder can bound
-    // recovery time (ScopedQueryControl around Database::Open).
+    // recovery time (a ScopedStatementContext around Database::Open).
     OXML_RETURN_NOT_OK(CheckCurrentControl());
     if (pos + kRecordHeader + kRecordTrailer > data.size()) {
       // Short tail (possibly zero bytes): clean end of log.

@@ -729,7 +729,7 @@ void OxmlServer::ProcessFrame(std::shared_ptr<Connection> conn, Frame frame) {
           // oracle-comparable signature per result node.
           ResultSet rs;
           rs.schema = Schema({Column{"node", TypeId::kText}});
-          Status st = session->RunGoverned(tag, [&]() -> Status {
+          Status st = session->RunStatement(tag, [&]() -> Status {
             OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes,
                                   EvaluateXPath(store, *xpath));
             rs.rows.reserve(nodes.size());

@@ -14,6 +14,13 @@ int64_t NowNs() {
       .count();
 }
 
+StatementOptions ToStatementOptions(const SessionDefaults& defaults) {
+  StatementOptions opts;
+  opts.timeout_ms = defaults.timeout_ms;
+  opts.memory_budget_bytes = defaults.memory_budget_bytes;
+  return opts;
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- Session
@@ -95,29 +102,15 @@ Status Session::RunStatement(uint64_t client_tag,
   if (killed()) return Status::Cancelled("session was killed");
   busy_.store(true, std::memory_order_release);
 
-  // Session-scoped governance: the control is built here (not in the
-  // engine's governor) so the deadline clock covers admission-queue time
-  // and the session's own defaults apply; the nested engine governor
+  // Session-scoped governance: the control is built here (not by the
+  // engine statement) so the deadline clock covers admission-queue time
+  // and the session's own defaults apply; the nested engine statement
   // inherits it. Registering it gives it an engine statement id, which is
   // what the out-of-band cancel path resolves through this session's
   // in-flight slot — ids are session-qualified by construction.
-  auto control = std::make_shared<QueryControl>();
-  SessionDefaults defaults = this->defaults();
-  int64_t timeout_ms =
-      defaults.timeout_ms >= 0
-          ? defaults.timeout_ms
-          : static_cast<int64_t>(
-                db_->options().default_statement_timeout_ms);
-  if (timeout_ms > 0) {
-    control->SetDeadline(std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(timeout_ms));
-  }
-  uint64_t budget =
-      defaults.memory_budget_bytes >= 0
-          ? static_cast<uint64_t>(defaults.memory_budget_bytes)
-          : db_->options().statement_memory_budget_bytes;
-  control->SetMemoryLimits(budget, db_->global_memory_budget());
-  uint64_t statement_id = db_->RegisterExternalControl(control);
+  std::shared_ptr<QueryControl> control =
+      db_->NewStatementControl(ToStatementOptions(defaults()));
+  uint64_t statement_id = db_->RegisterControl(control);
   {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_tag_ = client_tag;
@@ -126,8 +119,7 @@ Status Session::RunStatement(uint64_t client_tag,
 
   Status st = manager_->Admit(control.get());
   if (st.ok()) {
-    ScopedSessionIdentity identity(id_);
-    ScopedQueryControl scope(control.get());
+    ScopedStatementContext scope(Context(control.get()));
     st = body();
     manager_->Release();
   }
@@ -206,11 +198,6 @@ Result<int64_t> Session::ExecutePrepared(uint32_t stmt_id,
   return Execute(sql, std::move(params), client_tag);
 }
 
-Status Session::RunGoverned(uint64_t client_tag,
-                            const std::function<Status()>& body) {
-  return RunStatement(client_tag, body);
-}
-
 Status Session::Begin() {
   Touch();
   if (killed()) return Status::Cancelled("session was killed");
@@ -218,25 +205,15 @@ Status Session::Begin() {
   // that frees gate-waiting statements must never queue behind them), but
   // still runs governed — Begin itself gate-waits when a foreign session's
   // transaction is open, and that wait must honor the session deadline.
-  auto control = std::make_shared<QueryControl>();
-  SessionDefaults defaults = this->defaults();
-  int64_t timeout_ms =
-      defaults.timeout_ms >= 0
-          ? defaults.timeout_ms
-          : static_cast<int64_t>(
-                db_->options().default_statement_timeout_ms);
-  if (timeout_ms > 0) {
-    control->SetDeadline(std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(timeout_ms));
-  }
-  ScopedSessionIdentity identity(id_);
-  ScopedQueryControl scope(control.get());
+  std::shared_ptr<QueryControl> control =
+      db_->NewStatementControl(ToStatementOptions(defaults()));
+  ScopedStatementContext scope(Context(control.get()));
   return db_->Begin();
 }
 
 Status Session::Commit() {
   Touch();
-  ScopedSessionIdentity identity(id_);
+  ScopedStatementContext scope(Context());
   Status st = db_->Commit();
   if (st.ok()) ++stats_.txns_committed;
   return st;
@@ -244,7 +221,7 @@ Status Session::Commit() {
 
 Status Session::Rollback() {
   Touch();
-  ScopedSessionIdentity identity(id_);
+  ScopedStatementContext scope(Context());
   Status st = db_->Rollback();
   if (st.ok()) ++stats_.txns_rolled_back;
   return st;
@@ -286,12 +263,12 @@ Status Session::Close() {
   Status st = Status::OK();
   if (OwnsOpenTxn()) {
     // Disconnect mid-transaction: roll back through the normal undo path.
-    // The session identity makes this legal from whatever thread runs the
+    // The session id makes this legal from whatever thread runs the
     // cleanup; Rollback's exclusive latch waits out any statement the
     // cancel above is still aborting. A benign race remains — the
     // transaction may finish between the check and here — and surfaces as
     // InvalidArgument("no transaction is open"), which is success.
-    ScopedSessionIdentity identity(id_);
+    ScopedStatementContext scope(Context());
     Status rb = db_->Rollback();
     if (rb.ok()) {
       ++stats_.txns_rolled_back;

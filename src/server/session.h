@@ -6,8 +6,8 @@
 // A Session is the unit of client state: a per-connection prepared-
 // statement namespace (ids scoped to the session, plans shared through the
 // database's plan cache), transaction ownership (the session — not any
-// particular thread — owns its open transaction, via ScopedSessionIdentity
-// around every engine call made on its behalf), per-session
+// particular thread — owns its open transaction, via the session id in the
+// StatementContext around every engine call made on its behalf), per-session
 // StatementOptions defaults (deadline, memory budget) and per-session
 // statement statistics.
 //
@@ -96,7 +96,7 @@ struct PreparedInfo {
 };
 
 /// One client session. Statement entry points (Query/Execute/
-/// QueryPrepared/ExecutePrepared/RunGoverned) are serialized per session by
+/// QueryPrepared/ExecutePrepared/RunStatement) are serialized per session by
 /// the caller (the server runs one frame at a time per connection); Cancel
 /// and Kill may race them from any thread. Transaction-control calls
 /// (Begin/Commit/Rollback/Close) bypass the admission gate — see
@@ -134,10 +134,14 @@ class Session {
   Result<ResultSet> QueryPrepared(uint32_t stmt_id, uint64_t client_tag);
   Result<int64_t> ExecutePrepared(uint32_t stmt_id, uint64_t client_tag);
 
-  /// Runs an arbitrary body as one admission-gated, governed statement
-  /// under this session's identity — the server's XPath frame uses this so
-  /// driver-evaluated queries get the same gating as SQL.
-  Status RunGoverned(uint64_t client_tag, const std::function<Status()>& body);
+  /// The common statement path, also used directly by the server's XPath
+  /// frame so driver-evaluated queries get the same gating as SQL: build
+  /// the session-scoped QueryControl (deadline + budget from the session
+  /// defaults), register it for Database::Cancel, pass the admission gate,
+  /// then run `body` under a StatementContext carrying this session's id
+  /// and the control. Every nested engine statement inherits both, so ids
+  /// and governance are session-qualified end to end.
+  Status RunStatement(uint64_t client_tag, const std::function<Status()>& body);
 
   // --------------------------------------------------------- transactions
 
@@ -186,15 +190,14 @@ class Session {
     Row bindings;
   };
 
-  /// The common statement path: build the session-scoped QueryControl
-  /// (deadline + budget from the session defaults), register it for
-  /// Database::Cancel, pass the admission gate, then run `body` under
-  /// ScopedSessionIdentity + ScopedQueryControl. The nested engine
-  /// governor inherits the control, so ids and governance are
-  /// session-qualified end to end.
-  Status RunStatement(uint64_t client_tag, const std::function<Status()>& body);
-
   void Touch();
+  /// The StatementContext of an engine call made for this session.
+  StatementContext Context(QueryControl* control = nullptr) const {
+    StatementContext ctx;
+    ctx.session_id = id_;
+    ctx.control = control;
+    return ctx;
+  }
 
   Database* db_;
   SessionManager* manager_;

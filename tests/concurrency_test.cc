@@ -1,8 +1,9 @@
-// Multi-threaded execution: thread-pool and statement-latch units,
-// concurrent-reader stress on every encoding, the writers-exclude-readers
-// invariant, and a parallel-vs-serial differential over the QR workload
-// (plans with ParallelScanOp / ParallelStructuralJoinOp must give
-// byte-identical ordered results to the serial operators they replace).
+// Multi-threaded execution: thread-pool, statement-context and
+// statement-latch units, concurrent-reader stress on every encoding, the
+// writers-exclude-readers invariant, and a parallel-vs-serial differential
+// over the QR workload (plans with ParallelScanOp /
+// ParallelStructuralJoinOp must give byte-identical ordered results to the
+// serial operators they replace).
 //
 // Built with -DOXML_TSAN=ON in CI, these tests double as the
 // ThreadSanitizer workload for the latched buffer pool and plan cache.
@@ -11,12 +12,16 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/xpath_eval.h"
 #include "src/relational/database.h"
+#include "src/relational/query_control.h"
+#include "src/relational/statement_context.h"
 #include "src/relational/thread_pool.h"
 #include "src/xml/xml_generator.h"
 #include "src/xml/xml_writer.h"
@@ -77,6 +82,84 @@ TEST(ThreadPoolTest, RunsShardsConcurrently) {
     return Status::OK();
   });
   EXPECT_TRUE(st.ok()) << st;
+}
+
+// ------------------------------------------------------- StatementContext
+
+bool IsEmpty(const StatementContext& ctx) {
+  return ctx.session_id == 0 && ctx.control == nullptr &&
+         !ctx.snapshot_lsn.has_value();
+}
+
+TEST(StatementContextTest, ParallelForCarriesContextIntoEveryShard) {
+  ThreadPool pool(3);
+  QueryControl ctl;
+  StatementContext ctx;
+  ctx.session_id = 42;
+  ctx.control = &ctl;
+  ctx.snapshot_lsn = 7;
+
+  constexpr size_t kShards = 4;  // three workers + the caller
+  std::atomic<size_t> inside{0};
+  std::atomic<int> mismatches{0};
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  {
+    ScopedStatementContext scope(ctx);
+    Status st = pool.ParallelFor(kShards, [&](size_t) {
+      const StatementContext& seen = CurrentStatementContext();
+      if (seen.session_id != 42 || seen.control != &ctl ||
+          seen.snapshot_lsn != std::optional<uint64_t>(7)) {
+        mismatches.fetch_add(1);
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      }
+      // Hold every participant inside until all are in, so each shard
+      // runs on a different thread.
+      inside.fetch_add(1);
+      while (inside.load() < kShards) std::this_thread::yield();
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok()) << st;
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(threads.size(), kShards);
+  EXPECT_TRUE(IsEmpty(CurrentStatementContext()));
+
+  // Every worker is back to an empty context: one Submit task per worker,
+  // each held until all are running, so no worker takes two.
+  std::atomic<size_t> started{0};
+  std::atomic<size_t> finished{0};
+  std::atomic<int> leftovers{0};
+  for (size_t w = 0; w < pool.size(); ++w) {
+    pool.Submit([&] {
+      if (!IsEmpty(CurrentStatementContext())) leftovers.fetch_add(1);
+      started.fetch_add(1);
+      while (started.load() < pool.size()) std::this_thread::yield();
+      finished.fetch_add(1);
+    });
+  }
+  while (finished.load() < pool.size()) std::this_thread::yield();
+  EXPECT_EQ(leftovers.load(), 0);
+}
+
+TEST(StatementContextTest, CancelStopsRemainingShards) {
+  ThreadPool pool(2);
+  QueryControl ctl;
+  StatementContext ctx;
+  ctx.control = &ctl;
+  ScopedStatementContext scope(ctx);
+
+  constexpr size_t kShards = 1000;
+  std::atomic<size_t> ran{0};
+  Status st = pool.ParallelFor(kShards, [&](size_t) {
+    if (ran.fetch_add(1) == 0) ctl.Cancel();
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.IsCancelled()) << st;
+  EXPECT_LT(ran.load(), kShards);
 }
 
 // --------------------------------------------------------- StatementLatch

@@ -2,7 +2,7 @@
 // memory budgets, and disk-full degradation (docs/INTERNALS.md §12).
 //
 // Deadline tests avoid sleeps: a pre-expired QueryControl installed through
-// the public ScopedQueryControl makes the next statement on this thread
+// the public ScopedStatementContext makes the next statement on this thread
 // fail at its first cooperative check point, deterministically. The
 // database-level timeout path (StatementOptions / DatabaseOptions) is
 // exercised with a 1 ms deadline against a query whose cross products are
@@ -39,10 +39,12 @@ struct ExpiredDeadlineScope {
   ExpiredDeadlineScope() {
     ctl.SetDeadline(std::chrono::steady_clock::now() -
                     std::chrono::seconds(1));
-    scope.emplace(&ctl);
+    StatementContext ctx;
+    ctx.control = &ctl;
+    scope.emplace(ctx);
   }
   QueryControl ctl;
-  std::optional<ScopedQueryControl> scope;
+  std::optional<ScopedStatementContext> scope;
 };
 
 // ------------------------------------------------- deadlines on the stores

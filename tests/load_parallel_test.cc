@@ -238,7 +238,7 @@ std::vector<BPlusTree::Entry> SequentialEntries(size_t n) {
   std::vector<BPlusTree::Entry> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    char key[16];
+    char key[24];  // "k" + up to 20 digits + NUL
     std::snprintf(key, sizeof(key), "k%08zu", i);
     entries.emplace_back(std::string(key),
                          MakeRid(static_cast<uint32_t>(i / 100),

@@ -395,7 +395,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Many concurrent snapshot readers against one long writer, on the
 // parallel-execution path: pool workers must inherit the statement's
-// snapshot (TSan workload for SnapshotTaskScope and the version chains).
+// snapshot (TSan workload for ParallelFor's StatementContext hand-off and
+// the version chains).
 TEST(MvccConcurrencyTest, ManyReadersOneWriterStress) {
   LoadedStore ls = LoadNews(OrderEncoding::kGlobal, /*parallel_exec=*/true);
   OrderEncoding enc = OrderEncoding::kGlobal;

@@ -22,10 +22,22 @@ std::string TempPath(const std::string& name) {
          std::to_string(::getpid()) + ".db";
 }
 
+// Options for a file-backed database at `path` (every other option at its
+// default).
+DatabaseOptions FileOptions(const std::string& path,
+                            bool open_existing = false,
+                            size_t buffer_capacity = 0) {
+  DatabaseOptions opts;
+  opts.file_path = path;
+  opts.open_existing = open_existing;
+  opts.buffer_capacity = buffer_capacity;
+  return opts;
+}
+
 TEST(PersistenceTest, TablesSurviveReopen) {
   std::string path = TempPath("reopen_tables");
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT, name TEXT)").ok());
@@ -39,7 +51,7 @@ TEST(PersistenceTest, TablesSurviveReopen) {
     ASSERT_TRUE(db->Checkpoint().ok());
   }  // destructor checkpoints + flushes
 
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   std::unique_ptr<Database> db = std::move(dbr).value();
 
@@ -68,13 +80,13 @@ TEST(PersistenceTest, OverflowRowsSurviveReopen) {
   std::string path = TempPath("reopen_overflow");
   std::string big(50000, 'k');
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT, body TEXT)").ok());
     ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, '" + big + "')").ok());
   }
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   auto rs = (*dbr)->Query("SELECT body FROM t WHERE id = 1");
   ASSERT_TRUE(rs.ok());
@@ -84,7 +96,7 @@ TEST(PersistenceTest, OverflowRowsSurviveReopen) {
 TEST(PersistenceTest, OpenExistingOnFreshPathCreatesDatabase) {
   std::string path = TempPath("fresh_via_open_existing");
   ::unlink(path.c_str());
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   EXPECT_TRUE((*dbr)->Execute("CREATE TABLE t (a INT)").ok());
 }
@@ -98,7 +110,7 @@ TEST(PersistenceTest, RejectsGarbageFiles) {
     fwrite(junk.data(), 1, junk.size(), f);
     fclose(f);
   }
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   EXPECT_FALSE(dbr.ok());
   EXPECT_TRUE(dbr.status().IsIOError()) << dbr.status();
 }
@@ -117,7 +129,7 @@ TEST_P(StorePersistenceTest, OrderedStoreSurvivesReopen) {
   std::string original_xml;
 
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     auto sr = OrderedXmlStore::Create(db.get(), GetParam(), {.gap = 8});
@@ -129,7 +141,7 @@ TEST_P(StorePersistenceTest, OrderedStoreSurvivesReopen) {
     original_xml = WriteXml(**rebuilt);
   }
 
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   std::unique_ptr<Database> db = std::move(dbr).value();
   auto sr = OrderedXmlStore::Attach(db.get(), GetParam(), {.gap = 8});
@@ -170,7 +182,7 @@ TEST_P(StorePersistenceTest, SurvivesReopenUnderTinyBufferPool) {
   std::string expected_xml;
 
   {
-    auto dbr = Database::Open({.file_path = path, .buffer_capacity = 6});
+    auto dbr = Database::Open(FileOptions(path, /*open_existing=*/false, 6));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     auto sr = OrderedXmlStore::Create(db.get(), GetParam(), {.gap = 4});
@@ -194,9 +206,7 @@ TEST_P(StorePersistenceTest, SurvivesReopenUnderTinyBufferPool) {
     ASSERT_TRUE(db->Close().ok());
   }
 
-  auto dbr = Database::Open({.file_path = path,
-                             .buffer_capacity = 6,
-                             .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true, 6));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   std::unique_ptr<Database> db = std::move(dbr).value();
   auto sr = OrderedXmlStore::Attach(db.get(), GetParam(), {.gap = 4});
@@ -212,7 +222,7 @@ TEST_P(StorePersistenceTest, AttachRejectsWrongEncoding) {
   std::string path = TempPath(std::string("wrongenc_") +
                               OrderEncodingToString(GetParam()));
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     auto sr = OrderedXmlStore::Create(dbr->get(), GetParam(), {.gap = 8});
     ASSERT_TRUE(sr.ok());
@@ -220,7 +230,7 @@ TEST_P(StorePersistenceTest, AttachRejectsWrongEncoding) {
     ASSERT_TRUE(doc.ok());
     ASSERT_TRUE((*sr)->LoadDocument(**doc).ok());
   }
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok());
   OrderEncoding other = GetParam() == OrderEncoding::kDewey
                             ? OrderEncoding::kGlobal
@@ -247,7 +257,7 @@ namespace {
 TEST(PersistenceTest, CollectionSurvivesReopen) {
   std::string path = TempPath("reopen_collection");
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     auto cr = DocumentCollection::Create(db.get(), OrderEncoding::kDewey,
@@ -264,7 +274,7 @@ TEST(PersistenceTest, CollectionSurvivesReopen) {
     }
   }
 
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   std::unique_ptr<Database> db = std::move(dbr).value();
   auto cr = DocumentCollection::Attach(db.get(), OrderEncoding::kDewey,
@@ -291,7 +301,7 @@ TEST(PersistenceTest, CollectionSurvivesReopen) {
 
 TEST(PersistenceTest, CloseReportsStatusAndIsIdempotent) {
   std::string path = TempPath("close_status");
-  auto dbr = Database::Open({.file_path = path});
+  auto dbr = Database::Open(FileOptions(path));
   ASSERT_TRUE(dbr.ok());
   std::unique_ptr<Database> db = std::move(dbr).value();
   ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
@@ -310,7 +320,7 @@ TEST(PersistenceTest, CommitsSurviveACrashWithoutCheckpoint) {
   // from WAL replay alone.
   std::string path = TempPath("crash_no_checkpoint");
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT, name TEXT)").ok());
@@ -322,7 +332,7 @@ TEST(PersistenceTest, CommitsSurviveACrashWithoutCheckpoint) {
     }
     db->SimulateCrashForTesting();
   }
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok()) << dbr.status();
   auto rs = (*dbr)->Query("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok()) << rs.status();
@@ -336,7 +346,7 @@ TEST(PersistenceTest, CommitsSurviveACrashWithoutCheckpoint) {
 TEST(PersistenceTest, RolledBackTransactionLeavesNoTrace) {
   std::string path = TempPath("rollback_trace");
   {
-    auto dbr = Database::Open({.file_path = path});
+    auto dbr = Database::Open(FileOptions(path));
     ASSERT_TRUE(dbr.ok());
     std::unique_ptr<Database> db = std::move(dbr).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
@@ -349,7 +359,7 @@ TEST(PersistenceTest, RolledBackTransactionLeavesNoTrace) {
     ASSERT_TRUE(rs.ok());
     EXPECT_EQ(rs->rows[0][0].AsInt(), 1);  // rolled back in-process
   }
-  auto dbr = Database::Open({.file_path = path, .open_existing = true});
+  auto dbr = Database::Open(FileOptions(path, /*open_existing=*/true));
   ASSERT_TRUE(dbr.ok());
   auto rs = (*dbr)->Query("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok());
