@@ -16,11 +16,20 @@
 // version_chain_max) are attached to every report line; under writer=1,
 // mvcc=1 a zero snapshot_reads would mean the benchmark never actually
 // exercised the snapshot path.
+//
+// BM_LoneWriter asks the converse question: what MVCC costs a writer when
+// nobody reads. One thread runs single-paragraph InsertSubtree calls into
+// a fresh store on both sides of enable_mvcc; items_per_second is inserts
+// per second of insert time (the target lookups are not timed).
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+
+#include "src/common/random.h"
+#include "src/xml/xml_parser.h"
 
 #include "bench/bench_util.h"
 
@@ -122,6 +131,47 @@ void BM_SnapshotReaders(benchmark::State& state) {
   }
 }
 
+// One writer, no readers: each iteration loads a fresh store and inserts
+// a paragraph before a random existing one, timing only InsertSubtree.
+void BM_LoneWriter(benchmark::State& state) {
+  OrderEncoding enc = EncodingFromIndex(state.range(0));
+  bool mvcc = state.range(1) != 0;
+  const int inserts = static_cast<int>(SmokeScaled(600, 50));
+  auto para = ParseXml("<para>freshly inserted paragraph text</para>");
+  OXML_BENCH_OK(para);
+  const XmlNode& subtree = *(*para)->root_element();
+
+  ExecStats exec;
+  for (auto _ : state) {
+    StoreFixture f = MakeMvccStore(enc, mvcc);
+    auto body = EvaluateXPath(f.store.get(), "/nitf/body");
+    OXML_BENCH_OK(body);
+    Random rng(7);
+    std::chrono::duration<double> timed{0};
+    for (int i = 0; i < inserts; ++i) {
+      auto section = f.store->ChildAt(
+          (*body)[0], NodeTest::Tag("section"),
+          static_cast<size_t>(rng.Uniform(0, Sections() - 1)));
+      OXML_BENCH_OK(section);
+      auto target = f.store->ChildAt(
+          *section, NodeTest::Tag("para"),
+          static_cast<size_t>(rng.Uniform(0, Paragraphs() - 1)));
+      OXML_BENCH_OK(target);
+      auto t0 = std::chrono::steady_clock::now();
+      auto st = f.store->InsertSubtree(*target, InsertPosition::kBefore,
+                                       subtree);
+      timed += std::chrono::steady_clock::now() - t0;
+      OXML_BENCH_OK(st);
+    }
+    state.SetIterationTime(timed.count());
+    exec = *f.db->stats();
+  }
+  state.SetItemsProcessed(state.iterations() * inserts);
+  ReportExecStats(state, exec);
+  state.SetLabel(std::string(OrderEncodingToString(enc)) +
+                 (mvcc ? "/mvcc" : "/exclusive"));
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace oxml
@@ -138,6 +188,12 @@ BENCHMARK(oxml::bench::BM_SnapshotReaders)
     ->Threads(1)
     ->Threads(4)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+// One writer, no readers, on both sides of enable_mvcc.
+BENCHMARK(oxml::bench::BM_LoneWriter)
+    ->ArgsProduct({{0, 1, 2}, {1, 0}})
+    ->Iterations(1)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 OXML_BENCH_MAIN();

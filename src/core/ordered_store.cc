@@ -193,6 +193,16 @@ Result<int64_t> OrderedXmlStore::DmlP(const std::string& sql, Row params,
 }
 
 Status OrderedXmlStore::LoadDocument(const XmlDocument& doc) {
+  // No encoding has a unique index that would reject a second document's
+  // rows, so refuse a non-empty store before either path writes anything.
+  // (A statement text of its own: a plan cached while the table is empty
+  // would otherwise serve later statements of the same text.)
+  OXML_ASSIGN_OR_RETURN(
+      ResultSet any, Sql("SELECT depth FROM " + table_name() + " LIMIT 1"));
+  if (!any.rows.empty()) {
+    return Status::InvalidArgument("store '" + table_name() +
+                                   "' already holds a document");
+  }
   if (db_->options().enable_parallel_load) {
     return ParallelLoadDocument(doc);
   }

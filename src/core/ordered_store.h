@@ -75,9 +75,10 @@ class OrderedXmlStore {
 
   // ------------------------------------------------------------ bulk load
 
-  /// Shreds `doc` into the node table (document must be loaded into an
-  /// empty store). Runs as one transaction: a crash mid-load leaves the
-  /// store empty, never partially shredded.
+  /// Shreds `doc` into the node table. The store must be empty:
+  /// InvalidArgument otherwise, with nothing written. Runs as one
+  /// transaction: a crash mid-load leaves the store empty, never partially
+  /// shredded.
   ///
   /// With DatabaseOptions::enable_parallel_load the document is cut into
   /// disjoint subtrees (PartitionDocument), shredded into per-worker

@@ -96,7 +96,8 @@ struct ExecStats {
   // Intra-query parallelism (see DatabaseOptions::enable_parallel_execution):
   // `threads_used` is the high-water worker count any parallel operator
   // fanned out to, `morsels` counts scan/join partitions executed, and
-  // `parallel_joins` counts ParallelStructuralJoinOp::Open() calls.
+  // `parallel_joins` counts StructuralJoinOp::Open() calls that fanned out
+  // over the pool (a join with no pool runs inline and counts none).
   StatCounter threads_used = 0;
   StatCounter morsels = 0;
   StatCounter parallel_joins = 0;

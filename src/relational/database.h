@@ -58,9 +58,9 @@ struct DatabaseOptions {
 
   // ------------------------------------------------------------- parallelism
 
-  /// Let the planner emit parallel operators (ParallelScanOp and the
-  /// parallel structural-join path) that fan single statements out over the
-  /// database's thread pool. Off by default: intra-query parallelism only
+  /// Give the planner a thread pool: large scans plan as ParallelScanOp,
+  /// and StructuralJoinOp runs its independent interval groups on the
+  /// pool instead of inline. Off by default: intra-query parallelism only
   /// pays off on large inputs, and serial plans keep EXPLAIN output and
   /// operator-level tests deterministic. Inter-query concurrency — many
   /// threads calling Query() at once — is always available and does not
@@ -136,8 +136,9 @@ struct DatabaseOptions {
   /// record), never mid-page; see docs/INTERNALS.md §12.
   uint64_t default_statement_timeout_ms = 0;
   /// Per-statement cap on memory materialized by allocating operators
-  /// (sorts, hash/merge/nested-loop join builds, parallel-scan partitions,
-  /// shred runs, result sets), estimated and charged in batches. A
+  /// (sorts, hash/merge/nested-loop join builds, structural-join inputs
+  /// and match lists, parallel-scan partitions, shred runs, result sets),
+  /// estimated and charged in batches. A
   /// statement over its cap fails with kResourceExhausted; 0 = unlimited.
   size_t statement_memory_budget_bytes = 0;
   /// Database-wide cap shared by all concurrent statements' charges

@@ -5,6 +5,7 @@
 
 #include "src/relational/key_codec.h"
 #include "src/relational/query_control.h"
+#include "src/relational/thread_pool.h"
 
 namespace oxml {
 
@@ -644,7 +645,7 @@ StructuralJoinOp::StructuralJoinOp(OperatorPtr ancestors,
                                    OperatorPtr descendants, ExprPtr anc_start,
                                    ExprPtr anc_end, ExprPtr desc_start,
                                    bool lower_strict, bool upper_inclusive,
-                                   ExecStats* stats)
+                                   ThreadPool* pool, ExecStats* stats)
     : anc_(std::move(ancestors)),
       desc_(std::move(descendants)),
       anc_start_(std::move(anc_start)),
@@ -652,6 +653,7 @@ StructuralJoinOp::StructuralJoinOp(OperatorPtr ancestors,
       desc_start_(std::move(desc_start)),
       lower_strict_(lower_strict),
       upper_inclusive_(upper_inclusive),
+      pool_(pool),
       stats_(stats) {
   schema_ = anc_->schema();
   schema_.Append(desc_->schema());
@@ -666,8 +668,7 @@ StructuralJoinOp::StructuralJoinOp(OperatorPtr ancestors,
   }
 }
 
-bool StructuralJoinOp::Contains(const StackEntry& e,
-                                const Value& start) const {
+bool StructuralJoinOp::Contains(const Entry& e, const Value& start) const {
   if (e.start.is_null() || e.end.is_null() || start.is_null()) return false;
   int lo = start.Compare(e.start);
   if (lower_strict_ ? lo <= 0 : lo < 0) return false;
@@ -675,88 +676,178 @@ bool StructuralJoinOp::Contains(const StackEntry& e,
   return upper_inclusive_ ? hi <= 0 : hi < 0;
 }
 
-Status StructuralJoinOp::AdvanceAncestors(const Value& start) {
-  while (!anc_done_ || have_pending_) {
-    if (!have_pending_) {
-      OXML_ASSIGN_OR_RETURN(bool has, anc_->Next(&pending_anc_));
-      if (!has) {
-        anc_done_ = true;
-        return Status::OK();
-      }
-      OXML_ASSIGN_OR_RETURN(pending_start_, anc_start_->Eval(pending_anc_));
-      have_pending_ = true;
-    }
-    if (pending_start_.is_null()) {  // a NULL interval contains nothing
-      have_pending_ = false;
-      continue;
-    }
-    int c = pending_start_.Compare(start);
-    if (!(lower_strict_ ? c < 0 : c <= 0)) return Status::OK();
-    StackEntry e;
-    OXML_ASSIGN_OR_RETURN(e.end, anc_end_->Eval(pending_anc_));
-    e.start = std::move(pending_start_);
-    e.row = std::move(pending_anc_);
-    stack_.push_back(std::move(e));
-    have_pending_ = false;
+std::vector<StructuralJoinOp::Group> StructuralJoinOp::Partition(
+    size_t max_groups) const {
+  if (max_groups <= 1) {
+    return {Group{0, ancs_.size(), 0, descs_.size()}};
   }
-  return Status::OK();
+  // Every position where the ancestor stream can be cut: interval i starts
+  // strictly after the maximum end seen so far, so no containment pair
+  // spans the cut. (A NULL end extends nothing: such an interval contains
+  // no descendant.)
+  std::vector<size_t> cuts;  // cut before these indices
+  const Value* max_end = nullptr;
+  for (size_t i = 0; i < ancs_.size(); ++i) {
+    if (i > 0 &&
+        (max_end == nullptr || ancs_[i].start.Compare(*max_end) > 0)) {
+      cuts.push_back(i);
+      max_end = nullptr;
+    }
+    if (!ancs_[i].end.is_null() &&
+        (max_end == nullptr || ancs_[i].end.Compare(*max_end) > 0)) {
+      max_end = &ancs_[i].end;
+    }
+  }
+  // Keep at most max_groups-1 cuts, evenly spaced: dropping a cut merely
+  // merges two independent groups, which stays correct.
+  if (cuts.size() + 1 > max_groups) {
+    std::vector<size_t> kept;
+    for (size_t i = 1; i < max_groups; ++i) {
+      kept.push_back(cuts[i * cuts.size() / max_groups]);
+    }
+    kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    cuts = std::move(kept);
+  }
+
+  // Group boundaries over ancestors, plus each group's max end (recomputed
+  // after the merge) for descendant assignment.
+  std::vector<Group> groups;
+  std::vector<const Value*> group_max;
+  size_t begin = 0;
+  for (size_t ci = 0; ci <= cuts.size(); ++ci) {
+    size_t end = ci < cuts.size() ? cuts[ci] : ancs_.size();
+    const Value* m = nullptr;
+    for (size_t i = begin; i < end; ++i) {
+      if (!ancs_[i].end.is_null() &&
+          (m == nullptr || ancs_[i].end.Compare(*m) > 0)) {
+        m = &ancs_[i].end;
+      }
+    }
+    groups.push_back(Group{begin, end});
+    group_max.push_back(m);
+    begin = end;
+  }
+
+  // Assign each descendant to the first group whose max end it has not
+  // passed, the only group that can contain it (groups are disjoint and in
+  // start order; descendants arrive sorted on start). Descendants past the
+  // last group match nothing and are dropped.
+  size_t g = 0;
+  for (size_t d = 0; d < descs_.size() && g < groups.size(); ++d) {
+    while (g < groups.size() &&
+           (group_max[g] == nullptr ||
+            group_max[g]->Compare(descs_[d].start) < 0)) {
+      if (++g < groups.size()) groups[g].desc_begin = groups[g].desc_end = d;
+    }
+    if (g < groups.size()) groups[g].desc_end = d + 1;
+  }
+  return groups;
 }
 
-Result<bool> StructuralJoinOp::Next(Row* row) {
-  while (true) {
-    if (!have_desc_) {
-      OXML_ASSIGN_OR_RETURN(bool has, desc_->Next(&desc_row_));
-      if (!has) return false;
-      OXML_ASSIGN_OR_RETURN(desc_start_value_, desc_start_->Eval(desc_row_));
-      if (desc_start_value_.is_null()) continue;  // never contained
-      OXML_RETURN_NOT_OK(AdvanceAncestors(desc_start_value_));
-      // Retire ancestors whose interval ended before this start: later
-      // descendants only have larger starts, so the entries can never
-      // match again. Popping from the top is exact for properly nested
-      // intervals; for overlapping inputs the per-emit Contains() check
-      // below keeps the join correct regardless.
-      while (!stack_.empty()) {
-        const StackEntry& top = stack_.back();
-        bool expired =
-            top.end.is_null() ||
-            (upper_inclusive_
-                 ? top.end.Compare(desc_start_value_) < 0
-                 : top.end.Compare(desc_start_value_) <= 0);
-        if (!expired) break;
-        stack_.pop_back();
-      }
-      have_desc_ = true;
-      emit_pos_ = 0;
+Status StructuralJoinOp::JoinGroup(const Group& g,
+                                   std::vector<Match>* out) const {
+  BudgetCharger budget;
+  size_t next = g.anc_begin;
+  std::vector<size_t> stack;
+  for (size_t d = g.desc_begin; d < g.desc_end; ++d) {
+    OXML_RETURN_NOT_OK(CheckCurrentControl());
+    const Entry& desc = descs_[d];
+    // Push every ancestor whose start precedes this descendant's.
+    while (next < g.anc_end) {
+      int c = ancs_[next].start.Compare(desc.start);
+      if (!(lower_strict_ ? c < 0 : c <= 0)) break;
+      stack.push_back(next++);
     }
-    while (emit_pos_ < stack_.size()) {
-      const StackEntry& e = stack_[emit_pos_++];
-      if (!Contains(e, desc_start_value_)) continue;
-      row->clear();
-      row->reserve(e.row.size() + desc_row_.size());
-      row->insert(row->end(), e.row.begin(), e.row.end());
-      row->insert(row->end(), desc_row_.begin(), desc_row_.end());
-      return true;
+    // Retire ancestors whose interval ended before this start: later
+    // descendants only have larger starts, so they can never match again.
+    // Popping from the top is exact for properly nested intervals; for
+    // overlapping inputs the Contains() check below keeps the join correct.
+    while (!stack.empty()) {
+      const Value& end = ancs_[stack.back()].end;
+      bool expired = end.is_null() || (upper_inclusive_
+                                           ? end.Compare(desc.start) < 0
+                                           : end.Compare(desc.start) <= 0);
+      if (!expired) break;
+      stack.pop_back();
     }
-    have_desc_ = false;
+    for (size_t a : stack) {
+      if (!Contains(ancs_[a], desc.start)) continue;
+      OXML_RETURN_NOT_OK(budget.Add(sizeof(Match)));
+      out->push_back({a, d});
+    }
   }
+  return Status::OK();
 }
 
 Status StructuralJoinOp::Open() {
   if (stats_ != nullptr) ++stats_->joins_structural;
-  OXML_RETURN_NOT_OK(anc_->Open());
-  OXML_RETURN_NOT_OK(desc_->Open());
-  stack_.clear();
-  have_pending_ = false;
-  anc_done_ = false;
-  have_desc_ = false;
-  emit_pos_ = 0;
-  return Status::OK();
+  out_.clear();
+  part_ = 0;
+  pos_ = 0;
+
+  // Drain both inputs, evaluating the interval columns once per row. Rows
+  // with NULL starts are dropped here: they can never match.
+  BudgetCharger budget;
+  auto drain = [&](Operator* in, const Expr* start, const Expr* end,
+                   std::vector<Entry>* entries) -> Status {
+    entries->clear();
+    OXML_RETURN_NOT_OK(in->Open());
+    Row row;
+    while (true) {
+      OXML_ASSIGN_OR_RETURN(bool has, in->Next(&row));
+      if (!has) return Status::OK();
+      Entry e;
+      OXML_ASSIGN_OR_RETURN(e.start, start->Eval(row));
+      if (e.start.is_null()) continue;
+      if (end != nullptr) {
+        OXML_ASSIGN_OR_RETURN(e.end, end->Eval(row));
+      }
+      OXML_RETURN_NOT_OK(budget.AddRow(row));
+      e.row = std::move(row);
+      entries->push_back(std::move(e));
+    }
+  };
+  OXML_RETURN_NOT_OK(
+      drain(anc_.get(), anc_start_.get(), anc_end_.get(), &ancs_));
+  OXML_RETURN_NOT_OK(drain(desc_.get(), desc_start_.get(), nullptr, &descs_));
+
+  std::vector<Group> groups =
+      Partition(pool_ != nullptr ? pool_->TargetShards() : 1);
+  out_.resize(groups.size());
+  auto join = [&](size_t i) { return JoinGroup(groups[i], &out_[i]); };
+  if (pool_ == nullptr) return join(0);
+  if (stats_ != nullptr) {
+    ++stats_->parallel_joins;
+    stats_->morsels += groups.size();
+    stats_->threads_used.UpdateMax(std::min(pool_->size() + 1, groups.size()));
+  }
+  return pool_->ParallelFor(groups.size(), join);
+}
+
+Result<bool> StructuralJoinOp::Next(Row* row) {
+  while (part_ < out_.size()) {
+    if (pos_ < out_[part_].size()) {
+      const Match& m = out_[part_][pos_++];
+      const Row& anc = ancs_[m.anc].row;
+      const Row& desc = descs_[m.desc].row;
+      row->clear();
+      row->reserve(anc.size() + desc.size());
+      row->insert(row->end(), anc.begin(), anc.end());
+      row->insert(row->end(), desc.begin(), desc.end());
+      return true;
+    }
+    ++part_;
+    pos_ = 0;
+  }
+  return false;
 }
 
 void StructuralJoinOp::Close() {
   anc_->Close();
   desc_->Close();
-  stack_.clear();
+  ancs_ = {};
+  descs_ = {};
+  out_ = {};
 }
 
 std::string StructuralJoinOp::Name() const {

@@ -565,18 +565,10 @@ Result<OperatorPtr> PlanSelect(Database* db, SelectStmt* stmt) {
       inner = EnsureSortedOn(std::move(inner), desc_col->name(),
                              desc_col->index(), db->stats());
 
-      if (db->options().enable_parallel_execution &&
-          db->thread_pool() != nullptr) {
-        plan = std::make_unique<ParallelStructuralJoinOp>(
-            std::move(plan), std::move(inner), std::move(anc_start),
-            std::move(anc_end), std::move(desc_start), ij.lower_strict,
-            ij.upper_inclusive, db->thread_pool(), db->stats());
-      } else {
-        plan = std::make_unique<StructuralJoinOp>(
-            std::move(plan), std::move(inner), std::move(anc_start),
-            std::move(anc_end), std::move(desc_start), ij.lower_strict,
-            ij.upper_inclusive, db->stats());
-      }
+      plan = std::make_unique<StructuralJoinOp>(
+          std::move(plan), std::move(inner), std::move(anc_start),
+          std::move(anc_end), std::move(desc_start), ij.lower_strict,
+          ij.upper_inclusive, db->thread_pool(), db->stats());
       combined.Append(qualified[i]);
 
       // Leftover conjuncts (e.g. the Dewey child-axis depth check) attach

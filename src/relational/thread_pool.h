@@ -33,6 +33,11 @@ class ThreadPool {
   /// Worker threads owned by the pool (>= 1).
   size_t size() const { return threads_.size(); }
 
+  /// How many morsels a parallel operator cuts its input into: a small
+  /// multiple of the workers (pool threads + the calling thread), so
+  /// stragglers are absorbed without drowning small inputs in bookkeeping.
+  size_t TargetShards() const { return (size() + 1) * 2; }
+
   /// Runs `fn(shard)` for every shard in [0, shards). Shards are claimed
   /// dynamically by up to size() pool workers plus the calling thread, so
   /// the call makes progress even when the pool is saturated by other

@@ -1,9 +1,9 @@
 // Multi-threaded execution: thread-pool, statement-context and
 // statement-latch units, concurrent-reader stress on every encoding, the
 // writers-exclude-readers invariant, and a parallel-vs-serial differential
-// over the QR workload (plans with ParallelScanOp /
-// ParallelStructuralJoinOp must give byte-identical ordered results to the
-// serial operators they replace).
+// over the QR workload (plans with ParallelScanOp and a pool-backed
+// StructuralJoinOp must give byte-identical ordered results to the serial
+// plans).
 //
 // Built with -DOXML_TSAN=ON in CI, these tests double as the
 // ThreadSanitizer workload for the latched buffer pool and plan cache.

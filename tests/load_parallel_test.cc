@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/parallel_shred.h"
@@ -208,6 +209,49 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, ParallelLoadDifferentialTest,
                          ::testing::Values(OrderEncoding::kGlobal,
                                            OrderEncoding::kLocal,
                                            OrderEncoding::kDewey));
+
+// ------------------------------------------------------- repeated loads
+
+// A store holds one document: a second LoadDocument into a non-empty store
+// is rejected on both load paths, before it writes anything, because no
+// encoding has a unique index that would catch the duplicate rows.
+class SecondLoadTest : public ::testing::TestWithParam<
+                           std::tuple<OrderEncoding, bool>> {};
+
+TEST_P(SecondLoadTest, IsRejectedAndLeavesTheStoreIntact) {
+  auto [enc, parallel_load] = GetParam();
+  DatabaseOptions opts;
+  opts.enable_parallel_load = parallel_load;
+  opts.num_load_threads = 2;
+  auto db = Database::Open(opts);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto store = OrderedXmlStore::Create(db->get(), enc, StoreOptions{});
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto doc = ParseXml("<a x=\"1\"><b>t</b><c/></a>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+
+  ASSERT_TRUE((*store)->LoadDocument(**doc).ok());
+  auto before = (*store)->NodeCount();
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  Status again = (*store)->LoadDocument(**doc);
+  EXPECT_TRUE(again.IsInvalidArgument()) << again;
+  auto after = (*store)->NodeCount();
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(*after, *before);
+  Status valid = (*store)->Validate();
+  EXPECT_TRUE(valid.ok()) << valid;
+  auto rebuilt = (*store)->ReconstructDocument();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(WriteXml(**rebuilt), WriteXml(**doc));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEncodings, SecondLoadTest,
+    ::testing::Combine(::testing::Values(OrderEncoding::kGlobal,
+                                         OrderEncoding::kLocal,
+                                         OrderEncoding::kDewey),
+                       ::testing::Bool()));
 
 // ------------------------------------------------------ partition algebra
 
