@@ -26,6 +26,12 @@ Result<int64_t> LastComponent(const StoredNode& node) {
   return key.last();
 }
 
+/// The level index: an equality probe on depth plus a path range answers
+/// Root() and every child, attribute and sibling step without a name test.
+std::string DepthIndexSql(const std::string& t) {
+  return "CREATE INDEX " + t + "_depth ON " + t + " (depth, path)";
+}
+
 }  // namespace
 
 const char* DeweyStore::NodeColumns() const { return kCols; }
@@ -38,6 +44,9 @@ StoredNode DeweyStore::NodeFromRow(const Row& row) const {
 // (tag, path) means "an equality probe on tag yields rows in path order",
 // and encoded Dewey paths compare in document order — so tag scans feed
 // structural joins pre-sorted and the translator's ORDER BY path elides.
+// (depth, path) is created last on purpose: a step with a name test
+// scores the same on both composite indexes, and the planner keeps the
+// first-created one, so named steps stay on the tag index.
 Status DeweyStore::CreateTableAndIndexes() {
   const std::string& t = table_name();
   OXML_RETURN_NOT_OK(db_->Execute("CREATE TABLE " + t +
@@ -50,7 +59,17 @@ Status DeweyStore::CreateTableAndIndexes() {
   OXML_RETURN_NOT_OK(
       db_->Execute("CREATE INDEX " + t + "_tag ON " + t + " (tag, path)")
           .status());
-  return Status::OK();
+  return db_->Execute(DepthIndexSql(t)).status();
+}
+
+// Tables written before the level index existed carry only (path) and
+// (tag, path); give them the third index on attach.
+Status DeweyStore::InitializeExisting() {
+  const std::string& t = table_name();
+  if (db_->GetTable(t)->FindIndex(t + "_depth") != nullptr) {
+    return Status::OK();
+  }
+  return db_->Execute(DepthIndexSql(t)).status();
 }
 
 void DeweyStore::ShredInto(const XmlNode& node, const DeweyKey& key,

@@ -174,13 +174,14 @@ class LocalStore : public StoreBase {
 /// paper recommends.
 ///
 ///   nodes(path, depth, kind, tag, val)
-///   indexes: (path), (tag, path)
+///   indexes: (path), (tag, path), (depth, path)
 class DeweyStore : public StoreBase {
  public:
   DeweyStore(Database* db, StoreOptions options)
       : StoreBase(db, OrderEncoding::kDewey, std::move(options)) {}
 
   Status CreateTableAndIndexes() override;
+  Status InitializeExisting() override;
   Result<std::unique_ptr<XmlDocument>> ReconstructDocument() override;
   Result<std::unique_ptr<XmlNode>> ReconstructSubtree(
       const StoredNode& node) override;

@@ -118,11 +118,19 @@ bool InsertRec(BPlusTree::Node* node, std::string_view key, const Rid& rid,
     leaf->rids.insert(leaf->rids.begin() + pos, rid);
     if (leaf->keys.size() > BPlusTree::kNodeCapacity) {
       auto* right = new BPlusTree::Leaf();
-      size_t half = leaf->keys.size() / 2;
-      right->keys.assign(leaf->keys.begin() + half, leaf->keys.end());
-      right->rids.assign(leaf->rids.begin() + half, leaf->rids.end());
-      leaf->keys.resize(half);
-      leaf->rids.resize(half);
+      // An append past the last entry of the rightmost leaf is what an
+      // ascending load looks like: keep the left leaf full and start the
+      // right one with the new entry. A midpoint split there would leave
+      // every leaf of the load half empty for good.
+      bool append = leaf->next == nullptr && pos + 1 == leaf->keys.size();
+      size_t cut = append ? BPlusTree::kNodeCapacity : leaf->keys.size() / 2;
+      right->keys.assign(leaf->keys.begin() + cut, leaf->keys.end());
+      right->rids.assign(leaf->rids.begin() + cut, leaf->rids.end());
+      leaf->keys.resize(cut);
+      leaf->rids.resize(cut);
+      // The insert that overflowed the leaf doubled its vectors' capacity.
+      leaf->keys.shrink_to_fit();
+      leaf->rids.shrink_to_fit();
       right->next = leaf->next;
       leaf->next = right;
       split->sep_key = right->keys.front();

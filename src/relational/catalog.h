@@ -95,7 +95,8 @@ struct ExecStats {
 
   // Intra-query parallelism (see DatabaseOptions::enable_parallel_execution):
   // `threads_used` is the high-water worker count any parallel operator
-  // fanned out to, `morsels` counts scan/join partitions executed, and
+  // fanned out to, `morsels` counts scan/join partitions executed by
+  // operators that fanned out (a small scan run inline counts none), and
   // `parallel_joins` counts StructuralJoinOp::Open() calls that fanned out
   // over the pool (a join with no pool runs inline and counts none).
   StatCounter threads_used = 0;

@@ -69,9 +69,10 @@ struct DatabaseOptions {
   /// Worker threads in the execution pool (0 = hardware_concurrency).
   /// Only consulted when enable_parallel_execution is set.
   size_t num_threads = 0;
-  /// Tables with fewer rows than this keep their serial scans even under
-  /// enable_parallel_execution (fan-out overhead dominates tiny inputs).
-  /// Tests set 0 to force parallel plans on small fixtures.
+  /// A parallel scan over a table with fewer rows than this runs as one
+  /// shard on the calling thread (fan-out overhead dominates tiny inputs).
+  /// Checked each time the scan opens, so cached plans follow table growth.
+  /// Tests set 0 to force fan-out on small fixtures.
   size_t parallel_scan_min_rows = 256;
 
   // -------------------------------------------------------- parallel loading

@@ -11,8 +11,9 @@ namespace oxml {
 // ------------------------------------------------------------- ParallelScan
 
 ParallelScanOp::ParallelScanOp(TableInfo* table, Schema qualified_schema,
-                               ThreadPool* pool, ExecStats* stats)
-    : table_(table), pool_(pool), stats_(stats) {
+                               ThreadPool* pool, size_t min_rows,
+                               ExecStats* stats)
+    : table_(table), pool_(pool), min_rows_(min_rows), stats_(stats) {
   schema_ = std::move(qualified_schema);
 }
 
@@ -21,12 +22,13 @@ ParallelScanOp::ParallelScanOp(TableInfo* table, TableIndex* index,
                                std::optional<std::string> lower,
                                std::optional<std::string> upper,
                                size_t eq_prefix, ThreadPool* pool,
-                               ExecStats* stats)
+                               size_t min_rows, ExecStats* stats)
     : table_(table),
       index_(index),
       lower_(std::move(lower)),
       upper_(std::move(upper)),
       pool_(pool),
+      min_rows_(min_rows),
       stats_(stats) {
   schema_ = std::move(qualified_schema);
   // Same order property as the serial IndexScanOp: the index-column suffix
@@ -40,16 +42,20 @@ Status ParallelScanOp::Open() {
   partitions_.clear();
   part_ = 0;
   pos_ = 0;
-  return index_ == nullptr ? OpenHeap() : OpenIndex();
+  // A small table runs as one shard, which ParallelFor runs inline.
+  size_t target = table_->heap()->row_count() >= min_rows_
+                      ? pool_->TargetShards()
+                      : 1;
+  return index_ == nullptr ? OpenHeap(target) : OpenIndex(target);
 }
 
-Status ParallelScanOp::OpenHeap() {
+Status ParallelScanOp::OpenHeap(size_t target_shards) {
   OXML_ASSIGN_OR_RETURN(std::vector<uint32_t> chain,
                         table_->heap()->PageChain());
-  size_t shards = std::min(pool_->TargetShards(), chain.size());
+  size_t shards = std::min(target_shards, chain.size());
   if (shards == 0) return Status::OK();
   partitions_.resize(shards);
-  if (stats_ != nullptr) {
+  if (stats_ != nullptr && target_shards > 1) {
     stats_->morsels += shards;
     stats_->threads_used.UpdateMax(std::min(pool_->size() + 1, shards));
   }
@@ -75,14 +81,14 @@ Status ParallelScanOp::OpenHeap() {
   });
 }
 
-Status ParallelScanOp::OpenIndex() {
+Status ParallelScanOp::OpenIndex(size_t target_shards) {
   if (stats_ != nullptr) ++stats_->index_probes;
   const BPlusTree& tree = index_->tree;
   // Candidate separators over the whole tree, narrowed to (lower, upper).
   // Separators drawn from the live tree stay valid cut points for a
   // snapshot view too: the shard ranges are disjoint and cover
   // [lower, upper) no matter which keys the separators name.
-  std::vector<std::string> seps = tree.SplitKeys(pool_->TargetShards());
+  std::vector<std::string> seps = tree.SplitKeys(target_shards);
   std::vector<std::optional<std::string>> bounds;
   bounds.push_back(lower_);
   for (auto& s : seps) {
@@ -93,7 +99,7 @@ Status ParallelScanOp::OpenIndex() {
   bounds.push_back(upper_);
   size_t shards = bounds.size() - 1;
   partitions_.resize(shards);
-  if (stats_ != nullptr) {
+  if (stats_ != nullptr && target_shards > 1) {
     stats_->morsels += shards;
     stats_->threads_used.UpdateMax(std::min(pool_->size() + 1, shards));
   }

@@ -20,6 +20,9 @@ namespace oxml {
 ///
 /// Heap scans partition the page chain into contiguous chunks; index scans
 /// cut the key range at B+tree leaf boundaries (BPlusTree::SplitKeys).
+/// A table with fewer than `min_rows` rows when Open() runs is scanned as
+/// one shard on the calling thread: the size is read per execution, not
+/// at plan time, so a cached plan follows its table as it grows.
 /// Workers only read — concurrent page access is safe under the buffer
 /// pool's shared latch (see docs/INTERNALS.md §9). Parameter-dependent
 /// (dynamic) index bounds stay on the serial operator: their range is not
@@ -29,13 +32,13 @@ class ParallelScanOp : public Operator {
  public:
   /// Parallel full-table (heap) scan.
   ParallelScanOp(TableInfo* table, Schema qualified_schema, ThreadPool* pool,
-                 ExecStats* stats);
+                 size_t min_rows, ExecStats* stats);
   /// Parallel index-range scan with static bounds; `lower` inclusive,
   /// `upper` exclusive, as for IndexScanOp.
   ParallelScanOp(TableInfo* table, TableIndex* index, Schema qualified_schema,
                  std::optional<std::string> lower,
                  std::optional<std::string> upper, size_t eq_prefix,
-                 ThreadPool* pool, ExecStats* stats);
+                 ThreadPool* pool, size_t min_rows, ExecStats* stats);
 
   Status Open() override;
   Result<bool> Next(Row* row) override;
@@ -43,14 +46,15 @@ class ParallelScanOp : public Operator {
   std::string Name() const override;
 
  private:
-  Status OpenHeap();
-  Status OpenIndex();
+  Status OpenHeap(size_t target_shards);
+  Status OpenIndex(size_t target_shards);
 
   TableInfo* table_;
   TableIndex* index_ = nullptr;  // null = heap scan
   std::optional<std::string> lower_;
   std::optional<std::string> upper_;
   ThreadPool* pool_;
+  size_t min_rows_;
   ExecStats* stats_;
   std::vector<std::vector<Row>> partitions_;
   size_t part_ = 0;

@@ -316,16 +316,6 @@ Schema QualifiedSchema(const TableInfo& table, const std::string& alias) {
   return out;
 }
 
-/// True when the planner should emit parallel operators for this table:
-/// the feature is on, a pool exists, and the table is big enough that
-/// fan-out overhead pays for itself.
-bool WantParallelScan(Database* db, const TableInfo& table) {
-  return db->options().enable_parallel_execution &&
-         db->thread_pool() != nullptr &&
-         table.heap()->row_count() >=
-             db->options().parallel_scan_min_rows;
-}
-
 /// Plans the access to one base table given the conjuncts that reference
 /// only this table (already bound to `qualified`). Consumed conjuncts are
 /// dropped; the rest become a Filter on top of the scan.
@@ -337,7 +327,11 @@ Result<OperatorPtr> PlanTableAccess(Database* db, TableInfo* table,
   raw.reserve(conjuncts.size());
   for (auto& c : conjuncts) raw.push_back(c.get());
   AccessPath path = ChooseAccessPath(*table, raw);
-  bool parallel = WantParallelScan(db, *table);
+  // The pool exists only under enable_parallel_execution. The table's size
+  // is not consulted here, because a cached plan outlives it:
+  // ParallelScanOp::Open decides whether to fan out.
+  ThreadPool* pool = db->thread_pool();
+  const size_t min_rows = db->options().parallel_scan_min_rows;
 
   OperatorPtr scan;
   if (path.index != nullptr && path.dynamic.has_value()) {
@@ -346,17 +340,17 @@ Result<OperatorPtr> PlanTableAccess(Database* db, TableInfo* table,
     scan = std::make_unique<IndexScanOp>(table, path.index,
                                          std::move(qualified),
                                          std::move(*path.dynamic), stats);
-  } else if (path.index != nullptr && parallel) {
+  } else if (path.index != nullptr && pool != nullptr) {
     scan = std::make_unique<ParallelScanOp>(
         table, path.index, std::move(qualified), std::move(path.lower),
-        std::move(path.upper), path.eq_prefix, db->thread_pool(), stats);
+        std::move(path.upper), path.eq_prefix, pool, min_rows, stats);
   } else if (path.index != nullptr) {
     scan = std::make_unique<IndexScanOp>(
         table, path.index, std::move(qualified), std::move(path.lower),
         std::move(path.upper), path.eq_prefix, stats);
-  } else if (parallel) {
-    scan = std::make_unique<ParallelScanOp>(table, std::move(qualified),
-                                            db->thread_pool(), stats);
+  } else if (pool != nullptr) {
+    scan = std::make_unique<ParallelScanOp>(table, std::move(qualified), pool,
+                                            min_rows, stats);
   } else {
     scan = std::make_unique<SeqScanOp>(table, std::move(qualified), stats);
   }

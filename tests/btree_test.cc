@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/relational/btree.h"
@@ -177,6 +179,120 @@ TEST(BPlusTreeTest, RandomizedDifferentialAgainstMultimap) {
     it.Next();
   }
   EXPECT_FALSE(it.valid());
+}
+
+/// Entries per leaf, in leaf-chain order, for a tree whose keys are all
+/// distinct: SplitKeys with more shards than leaves names the first key
+/// of every leaf but the first.
+std::vector<size_t> LeafSizes(const BPlusTree& tree) {
+  std::vector<std::string> firsts = tree.SplitKeys(tree.size() + 2);
+  std::vector<size_t> sizes(1, 0);
+  size_t next = 0;
+  for (auto it = tree.Begin(); it.valid(); it.Next()) {
+    if (next < firsts.size() && it.key() == firsts[next]) {
+      sizes.push_back(0);
+      ++next;
+    }
+    ++sizes.back();
+  }
+  return sizes;
+}
+
+// An ascending load appends to the rightmost leaf; its splits keep the
+// left leaf full instead of cutting it in half.
+TEST(BPlusTreeTest, AscendingInsertsLeaveFullLeaves) {
+  constexpr size_t kCap = BPlusTree::kNodeCapacity;
+  BPlusTree tree;
+  char buf[16];
+  size_t n = 0;
+  auto append = [&](size_t count) {
+    for (size_t i = 0; i < count; ++i, ++n) {
+      std::snprintf(buf, sizeof(buf), "%08zu", n);
+      tree.Insert(buf, MakeRid(static_cast<uint32_t>(n)));
+    }
+  };
+
+  // A whole number of leaves: the last one is full too.
+  append(kCap * 40);
+  auto info = tree.CheckStructure();
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->leaves, 40u);
+  EXPECT_GE(info->min_leaf_entries, kCap - 1);
+  EXPECT_GE(tree.height(), 2u);
+
+  // A partial last leaf: every leaf before it stays full.
+  append(kCap / 3);
+  info = tree.CheckStructure();
+  ASSERT_TRUE(info.ok()) << info.status();
+  std::vector<size_t> sizes = LeafSizes(tree);
+  ASSERT_EQ(sizes.size(), info->leaves);
+  for (size_t i = 0; i + 1 < sizes.size(); ++i) {
+    EXPECT_GE(sizes[i], kCap - 1) << "leaf " << i;
+  }
+  EXPECT_EQ(sizes.back(), kCap / 3);
+
+  // Equal keys with ascending rids are an ascending load as well.
+  BPlusTree dups;
+  for (uint32_t i = 0; i < kCap * 10; ++i) dups.Insert("k", MakeRid(i));
+  auto dinfo = dups.CheckStructure();
+  ASSERT_TRUE(dinfo.ok()) << dinfo.status();
+  EXPECT_EQ(dinfo->leaves, 10u);
+  EXPECT_GE(dinfo->min_leaf_entries, kCap - 1);
+}
+
+/// Seeded mix of ascending appends (past the current maximum), random
+/// keys, duplicate keys and erases, checked against std::multiset. The
+/// structure audit runs after every insert, so it sees every split, on
+/// both sides of the append rule.
+TEST(BPlusTreeTest, MixedLoadMatchesMultisetAcrossSplits) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    BPlusTree tree;
+    std::multiset<std::pair<std::string, Rid>> model;
+    std::vector<std::string> keys;
+    Random rng(seed);
+    uint32_t next_rid = 0;
+    int ascending = 0;
+    char buf[16];
+    for (int op = 0; op < 2500; ++op) {
+      double dice = rng.NextDouble();
+      std::string key;
+      if (dice < 0.7) {
+        if (dice < 0.35) {
+          std::snprintf(buf, sizeof(buf), "~%08d", ascending++);
+          key = buf;
+        } else if (dice < 0.55 || keys.empty()) {
+          key = rng.Word(1, 5);
+        } else {
+          key = keys[rng.Uniform(0, static_cast<int64_t>(keys.size()) - 1)];
+        }
+        Rid rid = MakeRid(next_rid++);
+        tree.Insert(key, rid);
+        model.emplace(key, rid);
+        keys.push_back(key);
+        auto info = tree.CheckStructure();
+        ASSERT_TRUE(info.ok()) << "seed " << seed << " op " << op << ": "
+                               << info.status();
+      } else if (!model.empty()) {
+        auto victim = model.begin();
+        std::advance(victim,
+                     rng.Uniform(0, static_cast<int64_t>(model.size()) - 1));
+        ASSERT_TRUE(tree.Erase(victim->first, victim->second))
+            << "seed " << seed << " op " << op;
+        model.erase(victim);
+      }
+      ASSERT_EQ(tree.size(), model.size()) << "seed " << seed << " op " << op;
+    }
+    auto it = tree.Begin();
+    for (const auto& [key, rid] : model) {
+      ASSERT_TRUE(it.valid()) << "seed " << seed;
+      EXPECT_EQ(it.key(), key);
+      EXPECT_EQ(it.rid(), rid);
+      it.Next();
+    }
+    EXPECT_FALSE(it.valid()) << "seed " << seed;
+    auto info = tree.CheckStructure();
+    ASSERT_TRUE(info.ok()) << info.status();
+  }
 }
 
 TEST(BPlusTreeTest, KeyBytesAccounting) {

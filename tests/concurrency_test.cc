@@ -519,5 +519,44 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, ParallelDifferentialTest,
                                            OrderEncoding::kLocal,
                                            OrderEncoding::kDewey));
 
+// Regression: the parallel-scan choice used to read the table's row count
+// at plan time, so a plan cached while the table was small stayed serial
+// after the table grew (only DDL invalidates the plan cache). The scan now
+// reads the count each time it opens.
+TEST(ParallelScanPlanTest, CachedPlanFansOutAfterTableGrows) {
+  DatabaseOptions opts;
+  opts.enable_parallel_execution = true;
+  opts.num_threads = 2;
+  opts.parallel_scan_min_rows = 256;
+  auto dbr = Database::Open(opts);
+  ASSERT_TRUE(dbr.ok()) << dbr.status();
+  std::unique_ptr<Database> db = std::move(dbr).value();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT, b TEXT)").ok());
+
+  const std::string count = "SELECT COUNT(*) FROM t";
+  auto empty = db->Query(count);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty->rows[0][0].AsInt(), 0);
+  // Below the threshold the scan runs inline: no fan-out.
+  EXPECT_EQ(db->stats()->threads_used, 0u);
+  EXPECT_EQ(db->stats()->morsels, 0u);
+
+  auto ins = db->Prepare("INSERT INTO t (a, b) VALUES (?, ?)");
+  ASSERT_TRUE(ins.ok()) << ins.status();
+  std::vector<Row> rows;
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back({Value::Int(i), Value::Text("row " + std::to_string(i))});
+  }
+  ASSERT_TRUE(ins->ExecuteBatch(rows).ok());
+
+  const uint64_t hits = db->stats()->plan_cache_hits;
+  auto full = db->Query(count);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(full->rows[0][0].AsInt(), 4000);
+  EXPECT_EQ(db->stats()->plan_cache_hits, hits + 1);  // the cached plan
+  EXPECT_GT(db->stats()->threads_used, 1u);
+  EXPECT_GT(db->stats()->morsels, 1u);
+}
+
 }  // namespace
 }  // namespace oxml

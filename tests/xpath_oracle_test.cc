@@ -377,6 +377,79 @@ TEST_P(XPathOracleTest, AgreesWithDomOracleOnRandomDocs) {
   }
 }
 
+// A Dewey table written before the (depth, path) level index existed
+// carries only (path) and (tag, path). Attach gives it the third index,
+// and the attached store still answers as the oracle does.
+TEST(DeweyAttachTest, AddsLevelIndexToTableWithoutIt) {
+  NewsGeneratorOptions opts;
+  opts.seed = 2002;
+  opts.sections = 7;
+  opts.paragraphs_per_section = 4;
+  auto doc = GenerateNewsXml(opts);
+  OracleEvaluator oracle(*doc);
+
+  auto dbr = Database::Open();
+  ASSERT_TRUE(dbr.ok());
+  std::unique_ptr<Database> db = std::move(dbr).value();
+  // Shred into a current store, then copy its rows into a table that has
+  // the old layout.
+  auto src = OrderedXmlStore::Create(db.get(), OrderEncoding::kDewey,
+                                     {.gap = 8, .table_name = "src"});
+  ASSERT_TRUE(src.ok()) << src.status();
+  ASSERT_TRUE((*src)->LoadDocument(*doc).ok());
+  for (const char* ddl :
+       {"CREATE TABLE nodes (path BLOB, depth INT, kind INT, tag TEXT,"
+        " val TEXT)",
+        "CREATE INDEX nodes_path ON nodes (path)",
+        "CREATE INDEX nodes_tag ON nodes (tag, path)"}) {
+    ASSERT_TRUE(db->Execute(ddl).ok()) << ddl;
+  }
+  auto rows = db->Query("SELECT path, depth, kind, tag, val FROM src");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  auto ins = db->Prepare(
+      "INSERT INTO nodes (path, depth, kind, tag, val) VALUES (?, ?, ?, ?, ?)");
+  ASSERT_TRUE(ins.ok()) << ins.status();
+  ASSERT_TRUE(ins->ExecuteBatch(rows->rows).ok());
+  TableInfo* table = db->GetTable("nodes");
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->indexes().size(), 2u);
+
+  auto sr = OrderedXmlStore::Attach(db.get(), OrderEncoding::kDewey,
+                                    {.gap = 8});
+  ASSERT_TRUE(sr.ok()) << sr.status();
+  std::unique_ptr<OrderedXmlStore> store = std::move(sr).value();
+  EXPECT_EQ(table->indexes().size(), 3u);
+  TableIndex* depth = table->FindIndex("nodes_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->tree.size(), rows->rows.size());
+  auto plan = db->Explain(
+      "SELECT path FROM nodes WHERE depth = 1 AND kind = 1 ORDER BY path");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->find("nodes_depth"), std::string::npos) << *plan;
+  EXPECT_TRUE(store->Validate().ok());
+
+  // A second attach finds the index and adds nothing.
+  ASSERT_TRUE(
+      OrderedXmlStore::Attach(db.get(), OrderEncoding::kDewey, {.gap = 8})
+          .ok());
+  EXPECT_EQ(table->indexes().size(), 3u);
+
+  for (const char* q : kQueries) {
+    auto parsed = ParseXPath(q);
+    ASSERT_TRUE(parsed.ok()) << q;
+    std::vector<OracleNode> expected = oracle.Evaluate(*parsed);
+    auto actual = EvaluateXPath(store.get(), *parsed);
+    ASSERT_TRUE(actual.ok()) << q << ": " << actual.status();
+    ASSERT_EQ(actual->size(), expected.size()) << q;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      auto sig = StoreSignature(store.get(), (*actual)[i]);
+      ASSERT_TRUE(sig.ok()) << q;
+      EXPECT_EQ(*sig, oracle.Signature(expected[i]))
+          << q << " result " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEncodings, XPathOracleTest,
                          ::testing::Values(OrderEncoding::kGlobal,
                                            OrderEncoding::kLocal,
