@@ -147,10 +147,11 @@ Status DeweyStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
 
 Result<std::vector<StoredNode>> DeweyStore::Select(const std::string& where,
                                                    Row params,
-                                                   const std::string& order) {
+                                                   const std::string& order,
+                                                   size_t limit) {
   std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
   if (!where.empty()) sql += " WHERE " + where;
-  if (!order.empty()) sql += " ORDER BY " + order;
+  AppendOrderAndLimit(order, limit, &sql, &params);
   OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
   std::vector<StoredNode> out;
   out.reserve(rs.rows.size());
@@ -173,7 +174,8 @@ Result<StoredNode> DeweyStore::Root() {
 }
 
 Result<std::vector<StoredNode>> DeweyStore::Children(const StoredNode& node,
-                                                     const NodeTest& test) {
+                                                     const NodeTest& test,
+                                                     size_t limit) {
   Row params{Value::Blob(node.path),
              Value::Blob(BlobPrefixUpperBound(node.path)),
              Value::Int(node.depth + 1)};
@@ -181,20 +183,20 @@ Result<std::vector<StoredNode>> DeweyStore::Children(const StoredNode& node,
   // argument evaluation order would otherwise race it against the move.
   std::string where = "path > ? AND path < ? AND depth = ? AND " +
                       test.SqlConditionP(&params);
-  return Select(where, std::move(params), "path");
+  return Select(where, std::move(params), "path", limit);
 }
 
 Result<std::vector<StoredNode>> DeweyStore::Descendants(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   Row params{Value::Blob(node.path),
              Value::Blob(BlobPrefixUpperBound(node.path))};
   std::string where =
       "path > ? AND path < ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "path");
+  return Select(where, std::move(params), "path", limit);
 }
 
 Result<std::vector<StoredNode>> DeweyStore::FollowingSiblings(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(node.path));
   Row params{Value::Blob(BlobPrefixUpperBound(node.path)),
              Value::Int(node.depth)};
@@ -204,7 +206,7 @@ Result<std::vector<StoredNode>> DeweyStore::FollowingSiblings(
     where += " AND path < ?";
     params.push_back(Value::Blob(key.Parent().SubtreeUpperBound()));
   }
-  return Select(where, std::move(params), "path");
+  return Select(where, std::move(params), "path", limit);
 }
 
 Result<std::vector<StoredNode>> DeweyStore::PrecedingSiblings(
@@ -232,6 +234,38 @@ Result<std::vector<StoredNode>> DeweyStore::Attributes(
     params.push_back(Value::Text(std::string(name)));
   }
   return Select(where, std::move(params), "path");
+}
+
+// The (tag, path) index over the owners' covering range (min path,
+// SUCC(max path)): every same-named attribute of the owners lies in it,
+// and so does every same-named attribute of their descendants and of the
+// nodes between them, which the probe reads and drops.
+Result<std::vector<std::optional<std::string>>> DeweyStore::AttributeValues(
+    const std::vector<StoredNode>& owners, std::string_view name) {
+  if (owners.empty()) return std::vector<std::optional<std::string>>{};
+  const std::string* lo = &owners.front().path;
+  const std::string* hi = lo;
+  for (const StoredNode& n : owners) {
+    if (n.path < *lo) lo = &n.path;
+    if (n.path > *hi) hi = &n.path;
+  }
+  OXML_ASSIGN_OR_RETURN(
+      ResultSet rs,
+      SqlP("SELECT path, val FROM " + table_name() +
+               " WHERE tag = ? AND path > ? AND path < ? AND kind = " +
+               IntLit(static_cast<int>(XmlNodeKind::kAttribute)),
+           {Value::Text(std::string(name)), Value::Blob(*lo),
+            Value::Blob(BlobPrefixUpperBound(*hi))}));
+  std::unordered_map<std::string, std::string> by_owner;
+  for (const Row& row : rs.rows) {
+    OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(row[0].AsString()));
+    by_owner.emplace(key.Parent().Encode(),
+                     row[1].is_null() ? "" : row[1].AsString());
+  }
+  return MatchOwners(owners, by_owner,
+                     [](const StoredNode& n) -> const std::string& {
+                       return n.path;
+                     });
 }
 
 Result<StoredNode> DeweyStore::Parent(const StoredNode& node) {

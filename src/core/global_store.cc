@@ -141,10 +141,11 @@ Status GlobalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
 
 Result<std::vector<StoredNode>> GlobalStore::Select(const std::string& where,
                                                     Row params,
-                                                    const std::string& order) {
+                                                    const std::string& order,
+                                                    size_t limit) {
   std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
   if (!where.empty()) sql += " WHERE " + where;
-  if (!order.empty()) sql += " ORDER BY " + order;
+  AppendOrderAndLimit(order, limit, &sql, &params);
   OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
   std::vector<StoredNode> out;
   out.reserve(rs.rows.size());
@@ -167,28 +168,29 @@ Result<StoredNode> GlobalStore::Root() {
 }
 
 Result<std::vector<StoredNode>> GlobalStore::Children(const StoredNode& node,
-                                                      const NodeTest& test) {
+                                                      const NodeTest& test,
+                                                      size_t limit) {
   Row params{Value::Int(node.ord)};
   // Built before the Select call: SqlConditionP appends to `params`, and
   // argument evaluation order would otherwise race it against the move.
   std::string where = "pord = ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "ord");
+  return Select(where, std::move(params), "ord", limit);
 }
 
 Result<std::vector<StoredNode>> GlobalStore::Descendants(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   Row params{Value::Int(node.ord), Value::Int(node.eord)};
   std::string where =
       "ord > ? AND ord <= ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "ord");
+  return Select(where, std::move(params), "ord", limit);
 }
 
 Result<std::vector<StoredNode>> GlobalStore::FollowingSiblings(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   Row params{Value::Int(node.pord), Value::Int(node.ord)};
   std::string where =
       "pord = ? AND ord > ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "ord");
+  return Select(where, std::move(params), "ord", limit);
 }
 
 Result<std::vector<StoredNode>> GlobalStore::PrecedingSiblings(
@@ -209,6 +211,34 @@ Result<std::vector<StoredNode>> GlobalStore::Attributes(
     params.push_back(Value::Text(std::string(name)));
   }
   return Select(where, std::move(params), "ord");
+}
+
+// The (tag, ord) index over the owners' covering interval (min ord,
+// max eord]: every same-named attribute of the owners lies in it, and so
+// does every same-named attribute of their descendants and of the nodes
+// between them, which the probe reads and drops.
+Result<std::vector<std::optional<std::string>>> GlobalStore::AttributeValues(
+    const std::vector<StoredNode>& owners, std::string_view name) {
+  if (owners.empty()) return std::vector<std::optional<std::string>>{};
+  int64_t lo = owners.front().ord;
+  int64_t hi = owners.front().eord;
+  for (const StoredNode& n : owners) {
+    lo = std::min(lo, n.ord);
+    hi = std::max(hi, n.eord);
+  }
+  OXML_ASSIGN_OR_RETURN(
+      ResultSet rs,
+      SqlP("SELECT pord, val FROM " + table_name() +
+               " WHERE tag = ? AND ord > ? AND ord <= ? AND kind = " +
+               IntLit(static_cast<int>(XmlNodeKind::kAttribute)),
+           {Value::Text(std::string(name)), Value::Int(lo), Value::Int(hi)}));
+  std::unordered_map<int64_t, std::string> by_owner;
+  for (const Row& row : rs.rows) {
+    by_owner.emplace(row[0].AsInt(),
+                     row[1].is_null() ? "" : row[1].AsString());
+  }
+  return MatchOwners(owners, by_owner,
+                     [](const StoredNode& n) { return n.ord; });
 }
 
 Result<StoredNode> GlobalStore::Parent(const StoredNode& node) {

@@ -147,10 +147,11 @@ Status LocalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
 
 Result<std::vector<StoredNode>> LocalStore::Select(const std::string& where,
                                                    Row params,
-                                                   const std::string& order) {
+                                                   const std::string& order,
+                                                   size_t limit) {
   std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
   if (!where.empty()) sql += " WHERE " + where;
-  if (!order.empty()) sql += " ORDER BY " + order;
+  AppendOrderAndLimit(order, limit, &sql, &params);
   OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
   std::vector<StoredNode> out;
   out.reserve(rs.rows.size());
@@ -173,16 +174,19 @@ Result<StoredNode> LocalStore::Root() {
 }
 
 Result<std::vector<StoredNode>> LocalStore::Children(const StoredNode& node,
-                                                     const NodeTest& test) {
+                                                     const NodeTest& test,
+                                                     size_t limit) {
   Row params{Value::Int(node.id)};
   // Built before the Select call: SqlConditionP appends to `params`, and
   // argument evaluation order would otherwise race it against the move.
   std::string where = "pid = ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "sord");
+  return Select(where, std::move(params), "sord", limit);
 }
 
+// Neither path reads in document order (a tag scan sorted afterwards, or
+// level by level), so `limit` cannot stop either early and is ignored.
 Result<std::vector<StoredNode>> LocalStore::Descendants(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t /*limit*/) {
   if (node.pid == 0) {
     // From the root a tag/kind scan sees every node; document order must
     // then be recovered via ancestor ordinal paths (the expensive part of
@@ -219,11 +223,11 @@ Result<std::vector<StoredNode>> LocalStore::Descendants(
 }
 
 Result<std::vector<StoredNode>> LocalStore::FollowingSiblings(
-    const StoredNode& node, const NodeTest& test) {
+    const StoredNode& node, const NodeTest& test, size_t limit) {
   Row params{Value::Int(node.pid), Value::Int(node.sord)};
   std::string where =
       "pid = ? AND sord > ? AND " + test.SqlConditionP(&params);
-  return Select(where, std::move(params), "sord");
+  return Select(where, std::move(params), "sord", limit);
 }
 
 Result<std::vector<StoredNode>> LocalStore::PrecedingSiblings(
@@ -244,6 +248,27 @@ Result<std::vector<StoredNode>> LocalStore::Attributes(
     params.push_back(Value::Text(std::string(name)));
   }
   return Select(where, std::move(params), "sord");
+}
+
+// Local ids carry no subtree range, so the probe is the (tag) index over
+// the whole table: it reads every same-named attribute in the document,
+// however few the owners.
+Result<std::vector<std::optional<std::string>>> LocalStore::AttributeValues(
+    const std::vector<StoredNode>& owners, std::string_view name) {
+  if (owners.empty()) return std::vector<std::optional<std::string>>{};
+  OXML_ASSIGN_OR_RETURN(
+      ResultSet rs,
+      SqlP("SELECT pid, val FROM " + table_name() +
+               " WHERE tag = ? AND kind = " +
+               IntLit(static_cast<int>(XmlNodeKind::kAttribute)),
+           {Value::Text(std::string(name))}));
+  std::unordered_map<int64_t, std::string> by_owner;
+  for (const Row& row : rs.rows) {
+    by_owner.emplace(row[0].AsInt(),
+                     row[1].is_null() ? "" : row[1].AsString());
+  }
+  return MatchOwners(owners, by_owner,
+                     [](const StoredNode& n) { return n.id; });
 }
 
 Result<StoredNode> LocalStore::Parent(const StoredNode& node) {

@@ -57,6 +57,15 @@ std::string NodeTest::SqlConditionP(Row* params) const {
   return SqlCondition();  // no tag => no variable part
 }
 
+void AppendOrderAndLimit(const std::string& order, size_t limit,
+                         std::string* sql, Row* params) {
+  if (!order.empty()) *sql += " ORDER BY " + order;
+  if (limit > 0) {
+    *sql += " LIMIT ?";
+    params->push_back(Value::Int(static_cast<int64_t>(limit)));
+  }
+}
+
 Status AssembleByDepth(const std::vector<StoredNode>& nodes,
                        int64_t base_depth, XmlNode* root) {
   // stack[i] holds the open node at depth (base_depth + i - 1); stack[0] is

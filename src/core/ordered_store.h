@@ -2,6 +2,7 @@
 #define OXML_CORE_ORDERED_STORE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,17 +103,22 @@ class OrderedXmlStore {
   /// The root element.
   virtual Result<StoredNode> Root() = 0;
 
+  // `limit` on the next three axes is a hint: a caller that keeps only the
+  // first `limit` results passes it, and the store may stop reading there
+  // (LIMIT ? on its index-ordered query) or return more. 0 = no bound.
+
   /// Child axis, in sibling order.
   virtual Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                                   const NodeTest& test) = 0;
+                                                   const NodeTest& test,
+                                                   size_t limit = 0) = 0;
 
   /// Descendant axis, in document order.
   virtual Result<std::vector<StoredNode>> Descendants(
-      const StoredNode& node, const NodeTest& test) = 0;
+      const StoredNode& node, const NodeTest& test, size_t limit = 0) = 0;
 
   /// Following-sibling axis, in sibling order.
   virtual Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) = 0;
+      const StoredNode& node, const NodeTest& test, size_t limit = 0) = 0;
 
   /// Preceding-sibling axis, in sibling (document) order.
   virtual Result<std::vector<StoredNode>> PrecedingSiblings(
@@ -121,6 +127,13 @@ class OrderedXmlStore {
   /// Attribute nodes of an element, optionally restricted to one name.
   virtual Result<std::vector<StoredNode>> Attributes(
       const StoredNode& node, std::string_view name) = 0;
+
+  /// Set-valued attribute probe: element i of the result is the value of
+  /// owners[i]'s attribute `name` (non-empty), or nullopt when it has
+  /// none. One statement for the whole list; each encoding reads the
+  /// same-named attributes of a covering range (INTERNALS §3).
+  virtual Result<std::vector<std::optional<std::string>>> AttributeValues(
+      const std::vector<StoredNode>& owners, std::string_view name) = 0;
 
   /// Parent node; NotFound for the root.
   virtual Result<StoredNode> Parent(const StoredNode& node) = 0;

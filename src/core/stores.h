@@ -18,6 +18,25 @@ namespace oxml {
 Status AssembleByDepth(const std::vector<StoredNode>& nodes,
                        int64_t base_depth, XmlNode* root);
 
+/// Appends "ORDER BY `order`" and, for a `limit` > 0, "LIMIT ?" bound to
+/// it: every limit shares one SQL text and thus one cached plan.
+void AppendOrderAndLimit(const std::string& order, size_t limit,
+                         std::string* sql, Row* params);
+
+/// The AttributeValues answer for `owners`, given the probed values keyed
+/// by owner: `key(owner)` must yield the key type of `by_owner`.
+template <typename Key, typename KeyOf>
+std::vector<std::optional<std::string>> MatchOwners(
+    const std::vector<StoredNode>& owners,
+    const std::unordered_map<Key, std::string>& by_owner, KeyOf key) {
+  std::vector<std::optional<std::string>> out(owners.size());
+  for (size_t i = 0; i < owners.size(); ++i) {
+    auto it = by_owner.find(key(owners[i]));
+    if (it != by_owner.end()) out[i] = it->second;
+  }
+  return out;
+}
+
 /// Implementation base: adds the table-creation hook used by the factory.
 class StoreBase : public OrderedXmlStore {
  public:
@@ -49,15 +68,20 @@ class GlobalStore : public StoreBase {
       const StoredNode& node) override;
   Result<StoredNode> Root() override;
   Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                           const NodeTest& test) override;
+                                           const NodeTest& test,
+                                           size_t limit = 0) override;
   Result<std::vector<StoredNode>> Descendants(const StoredNode& node,
-                                              const NodeTest& test) override;
+                                              const NodeTest& test,
+                                              size_t limit = 0) override;
   Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) override;
+      const StoredNode& node, const NodeTest& test,
+      size_t limit = 0) override;
   Result<std::vector<StoredNode>> PrecedingSiblings(
       const StoredNode& node, const NodeTest& test) override;
   Result<std::vector<StoredNode>> Attributes(const StoredNode& node,
                                              std::string_view name) override;
+  Result<std::vector<std::optional<std::string>>> AttributeValues(
+      const std::vector<StoredNode>& owners, std::string_view name) override;
   Result<StoredNode> Parent(const StoredNode& node) override;
   Status SortDocumentOrder(std::vector<StoredNode>* nodes) override;
   Result<std::string> StringValue(const StoredNode& node) override;
@@ -84,8 +108,8 @@ class GlobalStore : public StoreBase {
   /// SQL text is stable across calls so repeated axis steps reuse one
   /// cached plan.
   Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params,
-                                         const std::string& order);
+                                         Row params, const std::string& order,
+                                         size_t limit = 0);
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   /// Shreds `node` assigning ordinals spaced by `step` starting after
   /// `*counter`; returns rows appended to `rows`.
@@ -116,15 +140,20 @@ class LocalStore : public StoreBase {
       const StoredNode& node) override;
   Result<StoredNode> Root() override;
   Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                           const NodeTest& test) override;
+                                           const NodeTest& test,
+                                           size_t limit = 0) override;
   Result<std::vector<StoredNode>> Descendants(const StoredNode& node,
-                                              const NodeTest& test) override;
+                                              const NodeTest& test,
+                                              size_t limit = 0) override;
   Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) override;
+      const StoredNode& node, const NodeTest& test,
+      size_t limit = 0) override;
   Result<std::vector<StoredNode>> PrecedingSiblings(
       const StoredNode& node, const NodeTest& test) override;
   Result<std::vector<StoredNode>> Attributes(const StoredNode& node,
                                              std::string_view name) override;
+  Result<std::vector<std::optional<std::string>>> AttributeValues(
+      const std::vector<StoredNode>& owners, std::string_view name) override;
   Result<StoredNode> Parent(const StoredNode& node) override;
   Status SortDocumentOrder(std::vector<StoredNode>* nodes) override;
   Result<std::string> StringValue(const StoredNode& node) override;
@@ -153,8 +182,8 @@ class LocalStore : public StoreBase {
 
  private:
   Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params,
-                                         const std::string& order);
+                                         Row params, const std::string& order,
+                                         size_t limit = 0);
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);
   /// Ordinal path from the root to `node` (ancestor sords), fetched by
@@ -187,15 +216,20 @@ class DeweyStore : public StoreBase {
       const StoredNode& node) override;
   Result<StoredNode> Root() override;
   Result<std::vector<StoredNode>> Children(const StoredNode& node,
-                                           const NodeTest& test) override;
+                                           const NodeTest& test,
+                                           size_t limit = 0) override;
   Result<std::vector<StoredNode>> Descendants(const StoredNode& node,
-                                              const NodeTest& test) override;
+                                              const NodeTest& test,
+                                              size_t limit = 0) override;
   Result<std::vector<StoredNode>> FollowingSiblings(
-      const StoredNode& node, const NodeTest& test) override;
+      const StoredNode& node, const NodeTest& test,
+      size_t limit = 0) override;
   Result<std::vector<StoredNode>> PrecedingSiblings(
       const StoredNode& node, const NodeTest& test) override;
   Result<std::vector<StoredNode>> Attributes(const StoredNode& node,
                                              std::string_view name) override;
+  Result<std::vector<std::optional<std::string>>> AttributeValues(
+      const std::vector<StoredNode>& owners, std::string_view name) override;
   Result<StoredNode> Parent(const StoredNode& node) override;
   Status SortDocumentOrder(std::vector<StoredNode>* nodes) override;
   Result<std::string> StringValue(const StoredNode& node) override;
@@ -219,8 +253,8 @@ class DeweyStore : public StoreBase {
 
  private:
   Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params,
-                                         const std::string& order);
+                                         Row params, const std::string& order,
+                                         size_t limit = 0);
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   void ShredInto(const XmlNode& node, const DeweyKey& key,
                  std::vector<Row>* rows);

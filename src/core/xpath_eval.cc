@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <unordered_set>
 
 namespace oxml {
@@ -61,23 +62,11 @@ bool ApplyPositionCmp(XPathCmp op, int64_t position, int64_t target) {
   return ApplyCmp(op, 0);
 }
 
-/// Applies value/attribute predicates to one node (position predicates are
-/// handled over the whole candidate list).
+/// Applies a child- or self-value predicate to one node (positional and
+/// attribute predicates are applied over a whole step's candidates).
 Result<bool> NodeSatisfies(OrderedXmlStore* store, const StoredNode& node,
                            const XPathPredicate& pred) {
   switch (pred.kind) {
-    case XPathPredicate::Kind::kAttribute: {
-      OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> attrs,
-                            store->Attributes(node, pred.name));
-      if (attrs.empty()) return false;
-      return ApplyCmp(pred.op,
-                      CompareXPathValues(attrs[0].value, pred.literal));
-    }
-    case XPathPredicate::Kind::kHasAttribute: {
-      OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> attrs,
-                            store->Attributes(node, pred.name));
-      return !attrs.empty();
-    }
     case XPathPredicate::Kind::kChildValue: {
       // XPath existential semantics: true if ANY matching child satisfies
       // the comparison.
@@ -97,49 +86,114 @@ Result<bool> NodeSatisfies(OrderedXmlStore* store, const StoredNode& node,
       return ApplyCmp(pred.op, CompareXPathValues(value, pred.literal));
     }
     default:
-      return Status::Internal("positional predicate reached NodeSatisfies");
+      return Status::Internal("set-valued predicate reached NodeSatisfies");
   }
 }
 
-/// Applies all of a step's predicates to the ordered candidate list
-/// produced from ONE context node (XPath positional semantics).
-Result<std::vector<StoredNode>> ApplyPredicates(
-    OrderedXmlStore* store, const std::vector<XPathPredicate>& preds,
-    std::vector<StoredNode> candidates) {
-  for (const XPathPredicate& pred : preds) {
-    std::vector<StoredNode> kept;
-    int64_t size = static_cast<int64_t>(candidates.size());
-    for (int64_t i = 0; i < size; ++i) {
-      bool keep = false;
-      switch (pred.kind) {
-        case XPathPredicate::Kind::kPosition:
-          keep = ApplyPositionCmp(pred.op, i + 1, pred.position);
-          break;
-        case XPathPredicate::Kind::kLast:
-          keep = (i + 1 == size);
-          break;
-        default: {
-          OXML_ASSIGN_OR_RETURN(keep,
-                                NodeSatisfies(store, candidates[i], pred));
-        }
-      }
-      if (keep) kept.push_back(std::move(candidates[i]));
+/// The candidates of one step: the ordered lists the axis produced from
+/// each context node, concatenated. `ends[i]` is one past the last
+/// candidate of context i's list; positions count within a list.
+struct StepCandidates {
+  std::vector<StoredNode> nodes;
+  std::vector<size_t> ends;
+};
+
+/// Drops the candidates whose `keep` flag is false, keeping list bounds.
+void Compact(const std::vector<bool>& keep, StepCandidates* c) {
+  std::vector<StoredNode> kept;
+  std::vector<size_t> ends;
+  ends.reserve(c->ends.size());
+  size_t i = 0;
+  for (size_t end : c->ends) {
+    for (; i < end; ++i) {
+      if (keep[i]) kept.push_back(std::move(c->nodes[i]));
     }
-    candidates = std::move(kept);
+    ends.push_back(kept.size());
   }
-  return candidates;
+  c->nodes = std::move(kept);
+  c->ends = std::move(ends);
 }
 
+/// Applies a step's predicates in order (XPath positional semantics). An
+/// attribute predicate is one AttributeValues probe over every candidate
+/// of the step, whatever the number of context nodes.
+Status ApplyPredicates(OrderedXmlStore* store,
+                       const std::vector<XPathPredicate>& preds,
+                       StepCandidates* c) {
+  for (const XPathPredicate& pred : preds) {
+    if (c->nodes.empty()) return Status::OK();
+    std::vector<bool> keep(c->nodes.size());
+    switch (pred.kind) {
+      case XPathPredicate::Kind::kPosition:
+      case XPathPredicate::Kind::kLast: {
+        size_t begin = 0;
+        for (size_t end : c->ends) {
+          for (size_t i = begin; i < end; ++i) {
+            keep[i] = pred.kind == XPathPredicate::Kind::kLast
+                          ? i + 1 == end
+                          : ApplyPositionCmp(
+                                pred.op, static_cast<int64_t>(i - begin + 1),
+                                pred.position);
+          }
+          begin = end;
+        }
+        break;
+      }
+      case XPathPredicate::Kind::kAttribute:
+      case XPathPredicate::Kind::kHasAttribute: {
+        OXML_ASSIGN_OR_RETURN(std::vector<std::optional<std::string>> values,
+                              store->AttributeValues(c->nodes, pred.name));
+        for (size_t i = 0; i < values.size(); ++i) {
+          keep[i] = values[i].has_value() &&
+                    (pred.kind == XPathPredicate::Kind::kHasAttribute ||
+                     ApplyCmp(pred.op,
+                              CompareXPathValues(*values[i], pred.literal)));
+        }
+        break;
+      }
+      default:
+        for (size_t i = 0; i < c->nodes.size(); ++i) {
+          OXML_ASSIGN_OR_RETURN(bool ok,
+                                NodeSatisfies(store, c->nodes[i], pred));
+          keep[i] = ok;
+        }
+    }
+    Compact(keep, c);
+  }
+  return Status::OK();
+}
+
+/// How many leading candidates of each list a step's first predicate can
+/// keep: n for [n], [position() = n] and [position() <= n], n - 1 for
+/// [position() < n]; -1 when the first predicate is not such a prefix.
+int64_t PositionalPrefix(const XPathStep& step) {
+  if (step.predicates.empty()) return -1;
+  const XPathPredicate& first = step.predicates.front();
+  if (first.kind != XPathPredicate::Kind::kPosition) return -1;
+  switch (first.op) {
+    case XPathCmp::kEq:
+    case XPathCmp::kLe:
+      return std::max<int64_t>(first.position, 0);
+    case XPathCmp::kLt:
+      return first.position <= 1 ? 0 : first.position - 1;
+    default:
+      return -1;
+  }
+}
+
+/// `limit` (0 = none) is passed to the axes whose results the store reads
+/// in list order; it is a hint, ApplyPredicates still cuts the list.
 Result<std::vector<StoredNode>> ExpandAxis(OrderedXmlStore* store,
                                            const StoredNode& context,
-                                           const XPathStep& step) {
+                                           const XPathStep& step,
+                                           size_t limit) {
   switch (step.axis) {
     case XPathStep::Axis::kChild:
-      return store->Children(context, step.test);
+      return store->Children(context, step.test, limit);
     case XPathStep::Axis::kDescendant:
-      return store->Descendants(context, step.test);
+      return store->Descendants(context, step.test, limit);
     case XPathStep::Axis::kFollowingSibling:
-      return store->FollowingSiblings(context, step.test);
+      return store->FollowingSiblings(context, step.test, limit);
     case XPathStep::Axis::kPrecedingSibling:
       return store->PrecedingSiblings(context, step.test);
     case XPathStep::Axis::kAttribute:
@@ -188,50 +242,56 @@ Result<std::vector<StoredNode>> EvaluateXPath(OrderedXmlStore* store,
 
   // Seed the context with the first step evaluated from the document node.
   OXML_ASSIGN_OR_RETURN(StoredNode root, store->Root());
-  std::vector<StoredNode> context;
+  StepCandidates first_step;
   {
     const XPathStep& first = query.steps[0];
-    std::vector<StoredNode> candidates;
-    if (first.axis == XPathStep::Axis::kChild) {
-      if (first.test.Matches(root.kind, root.tag)) candidates.push_back(root);
-    } else if (first.axis == XPathStep::Axis::kDescendant) {
-      if (first.test.Matches(root.kind, root.tag)) candidates.push_back(root);
-      OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> desc,
-                            store->Descendants(root, first.test));
-      for (StoredNode& d : desc) candidates.push_back(std::move(d));
-    } else {
+    if (first.axis != XPathStep::Axis::kChild &&
+        first.axis != XPathStep::Axis::kDescendant) {
       return Status::InvalidArgument(
           "the first step must use the child or descendant axis");
     }
-    OXML_ASSIGN_OR_RETURN(
-        context,
-        ApplyPredicates(store, first.predicates, std::move(candidates)));
+    if (first.test.Matches(root.kind, root.tag)) {
+      first_step.nodes.push_back(root);
+    }
+    if (first.axis == XPathStep::Axis::kDescendant) {
+      OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> desc,
+                            store->Descendants(root, first.test));
+      for (StoredNode& d : desc) first_step.nodes.push_back(std::move(d));
+    }
+    first_step.ends.push_back(first_step.nodes.size());
+    OXML_RETURN_NOT_OK(
+        ApplyPredicates(store, first.predicates, &first_step));
   }
+  std::vector<StoredNode> context = std::move(first_step.nodes);
 
   for (size_t s = 1; s < query.steps.size() && !context.empty(); ++s) {
     const XPathStep& step = query.steps[s];
+    const int64_t prefix = PositionalPrefix(step);
+    if (prefix == 0) return std::vector<StoredNode>{};
+    StepCandidates candidates;
+    candidates.ends.reserve(context.size());
+    for (const StoredNode& node : context) {
+      OXML_ASSIGN_OR_RETURN(
+          std::vector<StoredNode> list,
+          ExpandAxis(store, node, step,
+                     prefix < 0 ? 0 : static_cast<size_t>(prefix)));
+      for (StoredNode& c : list) candidates.nodes.push_back(std::move(c));
+      candidates.ends.push_back(candidates.nodes.size());
+    }
+    OXML_RETURN_NOT_OK(ApplyPredicates(store, step.predicates, &candidates));
+
     std::vector<StoredNode> next;
     std::unordered_set<std::string> seen;
-    bool multi_context = context.size() > 1;
-    for (const StoredNode& node : context) {
-      OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> candidates,
-                            ExpandAxis(store, node, step));
-      OXML_ASSIGN_OR_RETURN(
-          candidates,
-          ApplyPredicates(store, step.predicates, std::move(candidates)));
-      for (StoredNode& c : candidates) {
-        std::string id = NodeIdentity(store->encoding(), c);
-        if (seen.insert(std::move(id)).second) {
-          next.push_back(std::move(c));
-        }
-      }
+    for (StoredNode& c : candidates.nodes) {
+      std::string id = NodeIdentity(store->encoding(), c);
+      if (seen.insert(std::move(id)).second) next.push_back(std::move(c));
     }
     // Results of different contexts can interleave whenever contexts can
     // nest (e.g. //a//b, or a child step below //a where one match is an
     // ancestor of another): restore document order when more than one
     // context contributed. This is where the Local encoding pays for
     // lacking a cheap document-order key.
-    if (multi_context && !next.empty()) {
+    if (context.size() > 1 && !next.empty()) {
       OXML_RETURN_NOT_OK(store->SortDocumentOrder(&next));
     }
     context = std::move(next);

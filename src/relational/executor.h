@@ -408,9 +408,13 @@ class SortOp : public Operator {
   size_t pos_ = 0;
 };
 
+/// Passes on the first k rows of its child. k is an expression (an integer
+/// literal or a '?' marker) evaluated once per Open(), so one cached plan
+/// serves every binding; a NULL, negative or non-integer k is
+/// InvalidArgument.
 class LimitOp : public Operator {
  public:
-  LimitOp(OperatorPtr child, int64_t limit);
+  LimitOp(OperatorPtr child, ExprPtr limit);
   Status Open() override;
   Result<bool> Next(Row* row) override;
   void Close() override { child_->Close(); }
@@ -419,7 +423,8 @@ class LimitOp : public Operator {
 
  private:
   OperatorPtr child_;
-  int64_t limit_;
+  ExprPtr limit_expr_;
+  int64_t limit_ = 0;
   int64_t produced_ = 0;
 };
 

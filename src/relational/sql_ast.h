@@ -2,7 +2,6 @@
 #define OXML_RELATIONAL_SQL_AST_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,7 +58,7 @@ struct SelectStmt : Stmt {
   ExprPtr where;                   // may be null
   std::vector<ExprPtr> group_by;   // empty = no grouping
   std::vector<OrderItem> order_by;
-  std::optional<int64_t> limit;
+  ExprPtr limit;  // null = no LIMIT; an integer literal or a '?' marker
 };
 
 struct InsertStmt : Stmt {

@@ -147,10 +147,14 @@ class Parser {
       } while (MatchSymbol(","));
     }
     if (MatchKeyword("LIMIT")) {
-      if (Peek().kind != TokenKind::kIntLiteral) {
-        return Error("expected integer after LIMIT");
+      // An integer literal or a '?' marker: anything else (a column, an
+      // arithmetic expression) has no value before the first row.
+      const Token& tok = Peek();
+      if (tok.kind != TokenKind::kIntLiteral &&
+          !(tok.kind == TokenKind::kSymbol && tok.text == "?")) {
+        return Error("expected integer or '?' after LIMIT");
       }
-      stmt->limit = Advance().int_value;
+      OXML_ASSIGN_OR_RETURN(stmt->limit, ParsePrimary());
     }
     return StmtPtr(std::move(stmt));
   }

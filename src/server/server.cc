@@ -281,9 +281,7 @@ void OxmlServer::PollLoop() {
     // Idle-session reaping rides the poll timeout. A reaped session's
     // connection is torn down too (its kills are visible via killed()).
     if (manager_ && options_.session.idle_timeout_ms > 0) {
-      size_t reaped = manager_->ReapIdle();
-      if (reaped > 0) {
-        stats_.sessions_reaped.fetch_add(reaped, std::memory_order_relaxed);
+      if (manager_->ReapIdle(&stats_.sessions_reaped) > 0) {
         for (const auto& conn : live) {
           if (conn->session && conn->session->killed()) {
             CloseConnection(conn);

@@ -361,7 +361,7 @@ Status SessionManager::Kill(uint64_t session_id) {
   return CloseSession(session_id);
 }
 
-size_t SessionManager::ReapIdle() {
+size_t SessionManager::ReapIdle(std::atomic<uint64_t>* reaped_total) {
   if (options_.idle_timeout_ms <= 0) return 0;
   std::vector<std::shared_ptr<Session>> victims;
   {
@@ -374,6 +374,11 @@ size_t SessionManager::ReapIdle() {
       } else {
         ++it;
       }
+    }
+    // Counted under the lock that removed them: whoever sees the sessions
+    // gone (session_count(), Sessions()) also sees the count raised.
+    if (reaped_total != nullptr) {
+      reaped_total->fetch_add(victims.size(), std::memory_order_relaxed);
     }
   }
   for (auto& session : victims) {

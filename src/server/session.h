@@ -240,9 +240,10 @@ class SessionManager {
   Status Kill(uint64_t session_id);
 
   /// Closes every session idle longer than options().idle_timeout_ms;
-  /// returns how many were reaped. No-op when the timeout is 0 or a
-  /// statement is in flight on the session.
-  size_t ReapIdle();
+  /// returns how many were reaped and adds that to `*reaped_total` (when
+  /// given) before any observer can see them gone. No-op when the timeout
+  /// is 0 or a statement is in flight on the session.
+  size_t ReapIdle(std::atomic<uint64_t>* reaped_total = nullptr);
 
   size_t session_count() const;
   std::vector<std::shared_ptr<Session>> Sessions() const;

@@ -14,9 +14,11 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/ordered_store.h"
+#include "src/core/xpath_eval.h"
 #include "src/xml/xml_generator.h"
 
 namespace oxml {
@@ -136,6 +138,187 @@ TEST_P(AxisScanBoundTest, SiblingStepsReadOneLevelBelowTheParent) {
           Scanned([&] { return store_->PrecedingSiblings(*node, test); }),
           bound);
     }
+  }
+}
+
+// A step's predicates run inside its probe. An attribute predicate is one
+// statement over all of the step's candidates, however many there are, and
+// a positional prefix ([k], position() <= k) stops the axis scan after k
+// rows. Both are checked on the same document at two sizes: a per-candidate
+// probe or a full axis read grows with the number of sections.
+class PredicateProbeBoundTest : public ::testing::TestWithParam<OrderEncoding> {
+ protected:
+  struct Sized {
+    std::unique_ptr<Database> db;
+    std::unique_ptr<OrderedXmlStore> store;
+  };
+
+  static Sized Load(OrderEncoding encoding, int sections) {
+    NewsGeneratorOptions opts;
+    opts.seed = 25;
+    opts.sections = sections;
+    opts.paragraphs_per_section = 4;
+    auto doc = GenerateNewsXml(opts);
+    Sized out;
+    auto dbr = Database::Open();
+    EXPECT_TRUE(dbr.ok()) << dbr.status();
+    out.db = std::move(dbr).value();
+    auto sr = OrderedXmlStore::Create(out.db.get(), encoding, {.gap = 8});
+    EXPECT_TRUE(sr.ok()) << sr.status();
+    out.store = std::move(sr).value();
+    EXPECT_TRUE(out.store->LoadDocument(*doc).ok());
+    return out;
+  }
+
+  /// Statements run and rows scanned by one evaluation of `xpath`, which
+  /// must return `want` nodes.
+  static std::pair<uint64_t, uint64_t> Cost(const Sized& s,
+                                            const std::string& xpath,
+                                            size_t want) {
+    const uint64_t statements = s.db->stats()->statements;
+    const uint64_t rows = s.db->stats()->rows_scanned;
+    auto r = EvaluateXPath(s.store.get(), xpath);
+    EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
+    if (r.ok()) {
+      EXPECT_EQ(r->size(), want) << xpath;
+    }
+    return {s.db->stats()->statements - statements,
+            s.db->stats()->rows_scanned - rows};
+  }
+
+  void SetUp() override {
+    small_ = Load(GetParam(), 40);
+    large_ = Load(GetParam(), 160);
+  }
+
+  Sized small_;
+  Sized large_;
+};
+
+// Rows a step reads besides the ones it returns: the context's attribute
+// rows on the way to the first child, and the rows of the steps above.
+constexpr uint64_t kSlack = 6;
+
+TEST_P(PredicateProbeBoundTest, AttributePredicateIsOneProbePerStep) {
+  const std::string q = "//section[@id = 's7']";
+  EXPECT_EQ(Cost(small_, q, 1).first, Cost(large_, q, 1).first);
+  // Every predicate over an attribute takes the same single probe. (Not on
+  // //para: Local's descendant step looks up each section to sort.)
+  for (const char* p :
+       {"//section[@id]", "//section[@id != 's7']", "//section[@id][2]",
+        "/nitf/body/section[@id > 's3']"}) {
+    SCOPED_TRACE(p);
+    auto small = EvaluateXPath(small_.store.get(), p);
+    ASSERT_TRUE(small.ok()) << small.status();
+    auto large = EvaluateXPath(large_.store.get(), p);
+    ASSERT_TRUE(large.ok()) << large.status();
+    EXPECT_EQ(Cost(small_, p, small->size()).first,
+              Cost(large_, p, large->size()).first);
+  }
+}
+
+TEST_P(PredicateProbeBoundTest, PositionalPrefixStopsTheChildScan) {
+  for (const Sized* s : {&small_, &large_}) {
+    for (int k : {1, 5, 30}) {
+      const std::string n = std::to_string(k);
+      const struct {
+        std::string pred;
+        size_t want;
+      } cases[] = {{"[" + n + "]", 1},
+                   {"[position() = " + n + "]", 1},
+                   {"[position() <= " + n + "]", static_cast<size_t>(k)},
+                   {"[position() < " + std::to_string(k + 1) + "]",
+                    static_cast<size_t>(k)}};
+      for (const auto& c : cases) {
+        const std::string q = "/nitf/body/section" + c.pred;
+        SCOPED_TRACE(q);
+        const uint64_t above = Cost(*s, "/nitf/body", 1).second;
+        const uint64_t rows = Cost(*s, q, c.want).second;
+        EXPECT_LE(rows - above, static_cast<uint64_t>(k) + kSlack);
+      }
+    }
+  }
+}
+
+TEST_P(PredicateProbeBoundTest, FollowingSiblingPrefixReadsOneRowPerContext) {
+  for (const Sized* s : {&small_, &large_}) {
+    // One context, then three: the step reads about one row for each.
+    const struct {
+      std::string contexts;
+      uint64_t count;
+    } cases[] = {{"//section[@id = 's7']", 1},
+                 {"/nitf/body/section[position() <= 3]", 3}};
+    for (const auto& c : cases) {
+      const std::string q = c.contexts + "/following-sibling::section[1]";
+      SCOPED_TRACE(q);
+      const uint64_t above = Cost(*s, c.contexts, c.count).second;
+      const uint64_t rows = Cost(*s, q, c.count).second;
+      EXPECT_LE(rows - above, c.count * (1 + kSlack));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEncodings, PredicateProbeBoundTest,
+                         ::testing::Values(OrderEncoding::kGlobal,
+                                           OrderEncoding::kLocal,
+                                           OrderEncoding::kDewey));
+
+// The set-valued attribute probe is one range probe on each encoding's
+// tag index, and a bounded named child step is a LIMIT over an
+// index-ordered scan with no Sort between them, so the scan stops early.
+TEST(PredicateProbePlanTest, ProbesTheTagIndexAndLimitsAnOrderedScan) {
+  const std::string elem =
+      std::to_string(static_cast<int>(XmlNodeKind::kElement));
+  const std::string attr =
+      std::to_string(static_cast<int>(XmlNodeKind::kAttribute));
+  const struct {
+    OrderEncoding encoding;
+    std::string probe;
+    const char* probe_index;
+    std::string child_step;
+    const char* child_index;
+  } cases[] = {
+      {OrderEncoding::kGlobal,
+       "SELECT pord, val FROM nodes WHERE tag = ? AND ord > ? AND ord <= ? "
+       "AND kind = " + attr,
+       "nodes_tag",
+       "SELECT ord FROM nodes WHERE pord = ? AND kind = " + elem +
+           " AND tag = ? ORDER BY ord LIMIT ?",
+       "nodes_pord"},
+      {OrderEncoding::kLocal,
+       "SELECT pid, val FROM nodes WHERE tag = ? AND kind = " + attr,
+       "nodes_tag",
+       "SELECT id FROM nodes WHERE pid = ? AND kind = " + elem +
+           " AND tag = ? ORDER BY sord LIMIT ?",
+       "nodes_pid"},
+      {OrderEncoding::kDewey,
+       "SELECT path, val FROM nodes WHERE tag = ? AND path > ? AND path < ? "
+       "AND kind = " + attr,
+       "nodes_tag",
+       "SELECT path FROM nodes WHERE path > ? AND path < ? AND depth = ? "
+       "AND kind = " + elem + " AND tag = ? ORDER BY path LIMIT ?",
+       "nodes_tag"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(OrderEncodingToString(c.encoding));
+    auto dbr = Database::Open();
+    ASSERT_TRUE(dbr.ok()) << dbr.status();
+    std::unique_ptr<Database> db = std::move(dbr).value();
+    ASSERT_TRUE(OrderedXmlStore::Create(db.get(), c.encoding).ok());
+
+    auto probe = db->Explain(c.probe);
+    ASSERT_TRUE(probe.ok()) << probe.status();
+    EXPECT_NE(probe->find(std::string("IndexScan(nodes.") + c.probe_index),
+              std::string::npos)
+        << *probe;
+
+    auto child = db->Explain(c.child_step);
+    ASSERT_TRUE(child.ok()) << child.status();
+    EXPECT_EQ(child->rfind("Limit(?", 0), 0u) << *child;
+    EXPECT_NE(child->find(std::string("IndexScan(nodes.") + c.child_index),
+              std::string::npos)
+        << *child;
+    EXPECT_EQ(child->find("Sort("), std::string::npos) << *child;
   }
 }
 

@@ -301,7 +301,7 @@ std::unique_ptr<XmlNode> GenSubtree(Random* rng, const DocParams& doc,
 }
 
 std::string GenPredicate(Random* rng, const DocParams& doc) {
-  switch (rng->Uniform(0, 5)) {
+  switch (rng->Uniform(0, 8)) {
     case 0:
       return "[" + std::to_string(rng->Uniform(1, 4)) + "]";
     case 1:
@@ -311,7 +311,14 @@ std::string GenPredicate(Random* rng, const DocParams& doc) {
     case 3:
       return "[position() <= " + std::to_string(rng->Uniform(1, 3)) + "]";
     case 4:
+      return "[position() < " + std::to_string(rng->Uniform(1, 4)) + "]";
+    case 5:
+      return "[position() = " + std::to_string(rng->Uniform(1, 3)) + "]";
+    case 6:
       return "[@id]";
+    case 7:
+      return "[@id != 'n" +
+             std::to_string(rng->Uniform(0, doc.nodes / 4)) + "']";
     default:
       return "[@id = 'n" +
              std::to_string(rng->Uniform(0, doc.nodes / 4)) + "']";
@@ -358,7 +365,11 @@ std::string GenQuery(Random* rng, const DocParams& doc) {
     } else {
       out += "*";
     }
-    if (rng->Chance(0.35)) out += GenPredicate(rng, doc);
+    if (rng->Chance(0.35)) {
+      out += GenPredicate(rng, doc);
+      // Two predicates: the second sees the list the first one left.
+      if (rng->Chance(0.3)) out += GenPredicate(rng, doc);
+    }
   }
   return out;
 }

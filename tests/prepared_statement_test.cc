@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -142,6 +143,69 @@ TEST_F(PreparedStatementTest, AdHocQueriesShareTheCache) {
   ASSERT_TRUE(db_->Query("SELECT id FROM t WHERE id = 1").ok());
   EXPECT_EQ(db_->stats()->plan_cache_misses, 1u);
   EXPECT_EQ(db_->stats()->plan_cache_hits, 1u);
+}
+
+// LIMIT ? keeps one SQL text, and so one cached plan, for every k; the
+// limit is read when the plan opens, and over an index-ordered scan it
+// stops the scan after k rows.
+TEST(LimitParamTest, OnePlanServesEveryLimit) {
+  auto dbr = Database::Open();
+  ASSERT_TRUE(dbr.ok());
+  auto db = std::move(dbr).value();
+  ASSERT_TRUE(db->Execute("CREATE TABLE u (id INT, v TEXT)").ok());
+  ASSERT_TRUE(db->Execute("CREATE INDEX u_id ON u (id)").ok());
+  for (int i = 1; i <= 40; ++i) {
+    ASSERT_TRUE(db->ExecuteP("INSERT INTO u VALUES (?, 'r')",
+                             {Value::Int(i)})
+                    .ok());
+  }
+  const std::string sql = "SELECT id FROM u WHERE id > ? ORDER BY id LIMIT ?";
+  auto plan = db->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->find("Limit(?2)"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("IndexScan(u.u_id"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("Sort("), std::string::npos) << *plan;
+
+  const size_t cached_before = db->plan_cache_size();
+  auto ps = db->Prepare(sql);
+  ASSERT_TRUE(ps.ok()) << ps.status();
+  for (int64_t k : {0, 1, 5, 100}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const uint64_t scanned = db->stats()->rows_scanned;
+    ASSERT_TRUE(ps->BindAll({Value::Int(0), Value::Int(k)}).ok());
+    auto rs = ps->Query();
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    const size_t want = static_cast<size_t>(std::min<int64_t>(k, 40));
+    ASSERT_EQ(rs->rows.size(), want);
+    for (size_t i = 0; i < want; ++i) {
+      EXPECT_EQ(rs->rows[i][0].AsInt(), static_cast<int64_t>(i + 1));
+    }
+    EXPECT_LE(db->stats()->rows_scanned - scanned, static_cast<uint64_t>(k));
+    // The one-shot path shares the prepared statement's plan.
+    auto again = db->QueryP(sql, {Value::Int(10), Value::Int(k)});
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again->rows.size(),
+              static_cast<size_t>(std::min<int64_t>(k, 30)));
+  }
+  EXPECT_EQ(db->plan_cache_size(), cached_before + 1);
+}
+
+TEST_F(PreparedStatementTest, LimitRejectsNullNegativeAndNonIntegerBindings) {
+  auto ps = db_->Prepare("SELECT id FROM t ORDER BY id LIMIT ?");
+  ASSERT_TRUE(ps.ok()) << ps.status();
+  for (const Value& k : {Value::Null(), Value::Int(-1), Value::Text("x"),
+                         Value::Double(2.0)}) {
+    SCOPED_TRACE(k.ToString());
+    ASSERT_TRUE(ps->Bind(0, k).ok());
+    auto rs = ps->Query();
+    ASSERT_FALSE(rs.ok());
+    EXPECT_TRUE(rs.status().IsInvalidArgument()) << rs.status();
+  }
+  // A good binding still runs on the same statement afterwards.
+  ASSERT_TRUE(ps->Bind(0, Value::Int(2)).ok());
+  auto rs = ps->Query();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows.size(), 2u);
 }
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsedAtCapacity) {

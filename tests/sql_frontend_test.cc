@@ -80,8 +80,36 @@ TEST(SqlParserTest, SelectClauses) {
   ASSERT_EQ(sel->order_by.size(), 2u);
   EXPECT_TRUE(sel->order_by[0].desc);
   EXPECT_FALSE(sel->order_by[1].desc);
-  ASSERT_TRUE(sel->limit.has_value());
-  EXPECT_EQ(*sel->limit, 7);
+  ASSERT_NE(sel->limit, nullptr);
+  ASSERT_EQ(sel->limit->kind(), Expr::Kind::kLiteral);
+  EXPECT_EQ(static_cast<LiteralExpr*>(sel->limit.get())->value().AsInt(), 7);
+}
+
+TEST(SqlParserTest, LimitTakesAnIntegerOrAParameter) {
+  auto literal = ParseSql("SELECT a FROM t LIMIT 7");
+  ASSERT_TRUE(literal.ok()) << literal.status();
+  const auto* lit = static_cast<SelectStmt*>(literal->get());
+  ASSERT_NE(lit->limit, nullptr);
+  EXPECT_EQ(lit->limit->ToString(), "7");
+
+  // The marker after LIMIT is numbered after the WHERE clause's.
+  auto param = ParseSqlWithParams("SELECT a FROM t WHERE a > ? LIMIT ?");
+  ASSERT_TRUE(param.ok()) << param.status();
+  EXPECT_EQ(param->param_count, 2u);
+  const auto* sel = static_cast<SelectStmt*>(param->stmt.get());
+  ASSERT_NE(sel->limit, nullptr);
+  ASSERT_EQ(sel->limit->kind(), Expr::Kind::kParam);
+  EXPECT_EQ(static_cast<ParamExpr*>(sel->limit.get())->index(), 1u);
+
+  auto no_limit = ParseSql("SELECT a FROM t");
+  ASSERT_TRUE(no_limit.ok());
+  EXPECT_EQ(static_cast<SelectStmt*>(no_limit->get())->limit, nullptr);
+
+  // Ad hoc statements take no markers; LIMIT takes nothing but the two.
+  EXPECT_FALSE(ParseSql("SELECT a FROM t LIMIT ?").ok());
+  EXPECT_FALSE(ParseSqlWithParams("SELECT a FROM t LIMIT a").ok());
+  EXPECT_FALSE(ParseSqlWithParams("SELECT a FROM t LIMIT 'x'").ok());
+  EXPECT_FALSE(ParseSqlWithParams("SELECT a FROM t LIMIT").ok());
 }
 
 TEST(SqlParserTest, OperatorPrecedence) {

@@ -266,7 +266,46 @@ Result<std::string> StoreSignature(OrderedXmlStore* store,
   return WriteXml(*subtree);
 }
 
-const char* const kQueries[] = {
+/// Evaluates every query on `store` and on the oracle; the result
+/// sequences must match, document order included.
+void ExpectAgrees(OrderedXmlStore* store, OracleEvaluator* oracle,
+                  const std::vector<std::string>& queries,
+                  const std::string& label = "") {
+  for (const std::string& q : queries) {
+    SCOPED_TRACE(label + q);
+    auto parsed = ParseXPath(q);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    std::vector<OracleNode> expected = oracle->Evaluate(*parsed);
+    auto actual = EvaluateXPath(store, *parsed);
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    ASSERT_EQ(actual->size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      auto sig = StoreSignature(store, (*actual)[i]);
+      ASSERT_TRUE(sig.ok()) << sig.status();
+      EXPECT_EQ(*sig, oracle->Signature(expected[i])) << "result " << i;
+    }
+  }
+}
+
+/// A fresh in-memory store of `encoding` holding `doc`.
+struct LoadedStore {
+  std::unique_ptr<Database> db;
+  std::unique_ptr<OrderedXmlStore> store;
+};
+
+LoadedStore Load(const XmlDocument& doc, OrderEncoding encoding) {
+  LoadedStore out;
+  auto dbr = Database::Open();
+  EXPECT_TRUE(dbr.ok()) << dbr.status();
+  out.db = std::move(dbr).value();
+  auto sr = OrderedXmlStore::Create(out.db.get(), encoding, {.gap = 8});
+  EXPECT_TRUE(sr.ok()) << sr.status();
+  out.store = std::move(sr).value();
+  EXPECT_TRUE(out.store->LoadDocument(doc).ok());
+  return out;
+}
+
+const std::vector<std::string> kQueries = {
     "/nitf",
     "/nitf/body/section",
     "/nitf/*",
@@ -293,6 +332,31 @@ const char* const kQueries[] = {
     "//title/ancestor::*",
     "//section[@id = 's2']/para[. != '']",
     "/nitf/body/section[5]/para[last()]/text()",
+    // Positional prefixes, which the driver passes to the axis as a bound.
+    "//section[position() < 1]",
+    "/nitf/body/section[position() < 1]",
+    "/nitf/body/section[0]",
+    "/nitf/body/section[9]",
+    "/nitf/body/section[7]/para[5]",
+    "/nitf/body/section[position() = 3]/title",
+    "//section[position() = 2]",
+    "/nitf/body/section[position() < 3]/para[position() <= 2]",
+    "//*//para[1]",
+    "/nitf//*//title[1]",
+    "/nitf/body/section[position() <= 3]/following-sibling::*[1]",
+    "/nitf/body/section[last()]/following-sibling::*[1]",
+    "/nitf/body/section[7]/following-sibling::section[1]",
+    // Attribute predicates, which run as one probe per step, in both
+    // orders against a position.
+    "//section[@id][2]",
+    "//section[2][@id]",
+    "/nitf/body/section[@id != 's1'][2]",
+    "/nitf/body/section[2][@id = 's1']",
+    "/nitf/body/section[2][@id = 's2']",
+    "//section/node()[@class]",
+    "/nitf/node()[@id]",
+    "//para[@class = 'lead'][1]",
+    "//section/para[@class = 'lead'][last()]",
 };
 
 class XPathOracleTest : public ::testing::TestWithParam<OrderEncoding> {};
@@ -304,29 +368,38 @@ TEST_P(XPathOracleTest, AgreesWithDomOracleOnNewsDoc) {
   opts.paragraphs_per_section = 4;
   auto doc = GenerateNewsXml(opts);
   OracleEvaluator oracle(*doc);
+  LoadedStore s = Load(*doc, GetParam());
+  ExpectAgrees(s.store.get(), &oracle, kQueries);
+}
 
-  auto dbr = Database::Open();
-  ASSERT_TRUE(dbr.ok());
-  std::unique_ptr<Database> db = std::move(dbr).value();
-  auto sr = OrderedXmlStore::Create(db.get(), GetParam(), {.gap = 8});
-  ASSERT_TRUE(sr.ok());
-  std::unique_ptr<OrderedXmlStore> store = std::move(sr).value();
-  ASSERT_TRUE(store->LoadDocument(*doc).ok());
-
-  for (const char* q : kQueries) {
-    auto parsed = ParseXPath(q);
-    ASSERT_TRUE(parsed.ok()) << q;
-    std::vector<OracleNode> expected = oracle.Evaluate(*parsed);
-    auto actual = EvaluateXPath(store.get(), *parsed);
-    ASSERT_TRUE(actual.ok()) << q << ": " << actual.status();
-    ASSERT_EQ(actual->size(), expected.size()) << q;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      auto sig = StoreSignature(store.get(), (*actual)[i]);
-      ASSERT_TRUE(sig.ok()) << q;
-      EXPECT_EQ(*sig, oracle.Signature(expected[i]))
-          << q << " result " << i;
-    }
-  }
+// Numeric attribute comparisons, mixed content (text nodes are node()
+// candidates for an attribute predicate), nested descendant contexts and
+// siblings past the last one.
+TEST_P(XPathOracleTest, AgreesWithDomOracleOnPredicateEdgeCases) {
+  auto doc = ParseXml(
+      "<root>"
+      "<item n='1' id='a'>x<b n='10' id='b1'>t</b>y<b n='2'>u</b></item>"
+      "<item n='5' id='c'><b n='3' id='b2'><b n='4' id='b3'>v</b></b>z"
+      "</item>"
+      "<item n='12'>w<c id='c1'/><b n='7'/></item>"
+      "<item n='3.5' id='d'/>"
+      "</root>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  OracleEvaluator oracle(**doc);
+  LoadedStore s = Load(**doc, GetParam());
+  ExpectAgrees(s.store.get(), &oracle,
+               {"//item[@n > 3]", "//item[@n >= 3.5]", "//b[@n < 3]",
+                "//b[@n = 10]", "//item[@n != 5]", "//*[@n > 3][2]",
+                "/root/item[@n <= 5]/b[@n > 2]",
+                "/root/item/node()[@id]", "/root/item/node()[2]",
+                "/root/item/node()[@id][1]", "/root/item/node()[1][@id]",
+                "//b//b[1]", "//*//b[1]", "//item//b[position() <= 1]",
+                "//b/following-sibling::*[1]",
+                "/root/item[last()]/following-sibling::*[1]",
+                "/root/item/following-sibling::item[2]",
+                "/root/item[position() < 3]/b[1]", "//item[@id][2]",
+                "//item[2][@id]", "/root/item[0]", "/root/item[5]",
+                "/root/item[position() < 1]/b"});
 }
 
 TEST_P(XPathOracleTest, AgreesWithDomOracleOnRandomDocs) {
@@ -338,42 +411,15 @@ TEST_P(XPathOracleTest, AgreesWithDomOracleOnRandomDocs) {
     gopts.max_depth = 5;
     auto doc = GenerateXml(gopts);
     OracleEvaluator oracle(*doc);
-
-    auto dbr = Database::Open();
-    ASSERT_TRUE(dbr.ok());
-    std::unique_ptr<Database> db = std::move(dbr).value();
-    auto sr = OrderedXmlStore::Create(db.get(), GetParam(), {.gap = 8});
-    ASSERT_TRUE(sr.ok());
-    std::unique_ptr<OrderedXmlStore> store = std::move(sr).value();
-    ASSERT_TRUE(store->LoadDocument(*doc).ok());
-
-    const char* const queries[] = {
-        "//tag1",
-        "//tag2",
-        "/root/*",
-        "//tag3[1]",
-        "//tag0[last()]",
-        "//tag1/tag2",
-        "//tag4/text()",
-        "//tag2/@id",
-        "//tag0/following-sibling::tag1",
-        "//tag3[position() <= 2]",
-    };
-    for (const char* q : queries) {
-      auto parsed = ParseXPath(q);
-      ASSERT_TRUE(parsed.ok()) << q;
-      std::vector<OracleNode> expected = oracle.Evaluate(*parsed);
-      auto actual = EvaluateXPath(store.get(), *parsed);
-      ASSERT_TRUE(actual.ok()) << q << ": " << actual.status();
-      ASSERT_EQ(actual->size(), expected.size())
-          << "seed " << seed << " query " << q;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        auto sig = StoreSignature(store.get(), (*actual)[i]);
-        ASSERT_TRUE(sig.ok());
-        EXPECT_EQ(*sig, oracle.Signature(expected[i]))
-            << "seed " << seed << " query " << q << " result " << i;
-      }
-    }
+    LoadedStore s = Load(*doc, GetParam());
+    ExpectAgrees(s.store.get(), &oracle,
+                 {"//tag1", "//tag2", "/root/*", "//tag3[1]",
+                  "//tag0[last()]", "//tag1/tag2", "//tag4/text()",
+                  "//tag2/@id", "//tag0/following-sibling::tag1",
+                  "//tag3[position() <= 2]", "//tag1/node()[@id]",
+                  "//tag2//tag3[2]", "//tag0/following-sibling::*[1]",
+                  "//tag1[@id][1]"},
+                 "seed " + std::to_string(seed) + ": ");
   }
 }
 
@@ -434,20 +480,7 @@ TEST(DeweyAttachTest, AddsLevelIndexToTableWithoutIt) {
           .ok());
   EXPECT_EQ(table->indexes().size(), 3u);
 
-  for (const char* q : kQueries) {
-    auto parsed = ParseXPath(q);
-    ASSERT_TRUE(parsed.ok()) << q;
-    std::vector<OracleNode> expected = oracle.Evaluate(*parsed);
-    auto actual = EvaluateXPath(store.get(), *parsed);
-    ASSERT_TRUE(actual.ok()) << q << ": " << actual.status();
-    ASSERT_EQ(actual->size(), expected.size()) << q;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      auto sig = StoreSignature(store.get(), (*actual)[i]);
-      ASSERT_TRUE(sig.ok()) << q;
-      EXPECT_EQ(*sig, oracle.Signature(expected[i]))
-          << q << " result " << i;
-    }
-  }
+  ExpectAgrees(store.get(), &oracle, kQueries);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEncodings, XPathOracleTest,
