@@ -10,16 +10,6 @@ namespace {
 
 constexpr const char* kCols = "path, depth, kind, tag, val";
 
-StoredNode FromDeweyRow(const Row& row) {
-  StoredNode n;
-  n.path = row[0].AsString();
-  n.depth = row[1].AsInt();
-  n.kind = static_cast<XmlNodeKind>(row[2].AsInt());
-  n.tag = row[3].AsString();
-  n.value = row[4].is_null() ? "" : row[4].AsString();
-  return n;
-}
-
 /// Last ordinal component of a stored node's path.
 Result<int64_t> LastComponent(const StoredNode& node) {
   OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(node.path));
@@ -36,8 +26,14 @@ std::string DepthIndexSql(const std::string& t) {
 
 const char* DeweyStore::NodeColumns() const { return kCols; }
 
-StoredNode DeweyStore::NodeFromRow(const Row& row) const {
-  return FromDeweyRow(row);
+StoredNode DeweyStore::NodeFromRow(Row row) const {
+  StoredNode n;
+  n.path = row[0].TakeString();
+  n.depth = row[1].AsInt();
+  n.kind = static_cast<XmlNodeKind>(row[2].AsInt());
+  n.tag = row[3].TakeString();
+  n.value = row[4].TakeString();  // "" when NULL
+  return n;
 }
 
 // Index column order doubles as a sort-order claim the planner exploits:
@@ -143,20 +139,6 @@ Status DeweyStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
             Value::Text(attr.name), Value::Text(attr.value)});
   }
   return Status::OK();
-}
-
-Result<std::vector<StoredNode>> DeweyStore::Select(const std::string& where,
-                                                   Row params,
-                                                   const std::string& order,
-                                                   size_t limit) {
-  std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
-  if (!where.empty()) sql += " WHERE " + where;
-  AppendOrderAndLimit(order, limit, &sql, &params);
-  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
-  std::vector<StoredNode> out;
-  out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(FromDeweyRow(row));
-  return out;
 }
 
 Result<StoredNode> DeweyStore::SelectOne(const std::string& where,
@@ -304,7 +286,7 @@ Result<std::string> DeweyStore::StringValue(const StoredNode& node) {
 Result<std::unique_ptr<XmlDocument>> DeweyStore::ReconstructDocument() {
   OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes, Select("", {}, "path"));
   auto doc = std::make_unique<XmlDocument>();
-  OXML_RETURN_NOT_OK(AssembleByDepth(nodes, 1, doc->root()));
+  OXML_RETURN_NOT_OK(AssembleByDepth(std::move(nodes), 1, doc->root()));
   return doc;
 }
 
@@ -317,7 +299,8 @@ Result<std::unique_ptr<XmlNode>> DeweyStore::ReconstructSubtree(
               Value::Blob(BlobPrefixUpperBound(node.path))},
              "path"));
   auto holder = std::make_unique<XmlNode>(XmlNodeKind::kDocument, "#holder");
-  OXML_RETURN_NOT_OK(AssembleByDepth(nodes, node.depth, holder.get()));
+  OXML_RETURN_NOT_OK(
+      AssembleByDepth(std::move(nodes), node.depth, holder.get()));
   if (holder->child_count() != 1) {
     return Status::Internal("subtree reconstruction produced " +
                             std::to_string(holder->child_count()) + " roots");

@@ -9,24 +9,20 @@ namespace {
 
 constexpr const char* kCols = "ord, eord, pord, depth, kind, tag, val";
 
-StoredNode FromGlobalRow(const Row& row) {
+}  // namespace
+
+const char* GlobalStore::NodeColumns() const { return kCols; }
+
+StoredNode GlobalStore::NodeFromRow(Row row) const {
   StoredNode n;
   n.ord = row[0].AsInt();
   n.eord = row[1].AsInt();
   n.pord = row[2].AsInt();
   n.depth = row[3].AsInt();
   n.kind = static_cast<XmlNodeKind>(row[4].AsInt());
-  n.tag = row[5].AsString();
-  n.value = row[6].is_null() ? "" : row[6].AsString();
+  n.tag = row[5].TakeString();
+  n.value = row[6].TakeString();  // "" when NULL
   return n;
-}
-
-}  // namespace
-
-const char* GlobalStore::NodeColumns() const { return kCols; }
-
-StoredNode GlobalStore::NodeFromRow(const Row& row) const {
-  return FromGlobalRow(row);
 }
 
 // Index column order doubles as a sort-order claim the planner exploits:
@@ -137,20 +133,6 @@ Status GlobalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
             Value::Text(attr.name), Value::Text(attr.value)});
   }
   return Status::OK();
-}
-
-Result<std::vector<StoredNode>> GlobalStore::Select(const std::string& where,
-                                                    Row params,
-                                                    const std::string& order,
-                                                    size_t limit) {
-  std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
-  if (!where.empty()) sql += " WHERE " + where;
-  AppendOrderAndLimit(order, limit, &sql, &params);
-  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
-  std::vector<StoredNode> out;
-  out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(FromGlobalRow(row));
-  return out;
 }
 
 Result<StoredNode> GlobalStore::SelectOne(const std::string& where,
@@ -274,7 +256,7 @@ Result<std::string> GlobalStore::StringValue(const StoredNode& node) {
 Result<std::unique_ptr<XmlDocument>> GlobalStore::ReconstructDocument() {
   OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> nodes, Select("", {}, "ord"));
   auto doc = std::make_unique<XmlDocument>();
-  OXML_RETURN_NOT_OK(AssembleByDepth(nodes, 1, doc->root()));
+  OXML_RETURN_NOT_OK(AssembleByDepth(std::move(nodes), 1, doc->root()));
   return doc;
 }
 
@@ -285,7 +267,8 @@ Result<std::unique_ptr<XmlNode>> GlobalStore::ReconstructSubtree(
       Select("ord >= ? AND ord <= ?",
              {Value::Int(node.ord), Value::Int(node.eord)}, "ord"));
   auto holder = std::make_unique<XmlNode>(XmlNodeKind::kDocument, "#holder");
-  OXML_RETURN_NOT_OK(AssembleByDepth(nodes, node.depth, holder.get()));
+  OXML_RETURN_NOT_OK(
+      AssembleByDepth(std::move(nodes), node.depth, holder.get()));
   if (holder->child_count() != 1) {
     return Status::Internal("subtree reconstruction produced " +
                             std::to_string(holder->child_count()) +

@@ -11,24 +11,20 @@ namespace {
 
 constexpr const char* kCols = "id, pid, sord, depth, kind, tag, val";
 
-StoredNode FromLocalRow(const Row& row) {
+}  // namespace
+
+const char* LocalStore::NodeColumns() const { return kCols; }
+
+StoredNode LocalStore::NodeFromRow(Row row) const {
   StoredNode n;
   n.id = row[0].AsInt();
   n.pid = row[1].AsInt();
   n.sord = row[2].AsInt();
   n.depth = row[3].AsInt();
   n.kind = static_cast<XmlNodeKind>(row[4].AsInt());
-  n.tag = row[5].AsString();
-  n.value = row[6].is_null() ? "" : row[6].AsString();
+  n.tag = row[5].TakeString();
+  n.value = row[6].TakeString();  // "" when NULL
   return n;
-}
-
-}  // namespace
-
-const char* LocalStore::NodeColumns() const { return kCols; }
-
-StoredNode LocalStore::NodeFromRow(const Row& row) const {
-  return FromLocalRow(row);
 }
 
 // Index column order doubles as a sort-order claim the planner exploits:
@@ -143,20 +139,6 @@ Status LocalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
             Value::Text(attr.name), Value::Text(attr.value)});
   }
   return Status::OK();
-}
-
-Result<std::vector<StoredNode>> LocalStore::Select(const std::string& where,
-                                                   Row params,
-                                                   const std::string& order,
-                                                   size_t limit) {
-  std::string sql = std::string("SELECT ") + kCols + " FROM " + table_name();
-  if (!where.empty()) sql += " WHERE " + where;
-  AppendOrderAndLimit(order, limit, &sql, &params);
-  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
-  std::vector<StoredNode> out;
-  out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(FromLocalRow(row));
-  return out;
 }
 
 Result<StoredNode> LocalStore::SelectOne(const std::string& where,
@@ -346,30 +328,31 @@ Result<std::string> LocalStore::StringValue(const StoredNode& node) {
 
 namespace {
 
-/// Recursively attaches the children of `parent_id` from the grouped map.
-void AssembleLocal(
-    const std::map<int64_t, std::vector<StoredNode>>& by_parent,
-    int64_t parent_id, XmlNode* parent) {
-  auto it = by_parent.find(parent_id);
-  if (it == by_parent.end()) return;
-  for (const StoredNode& n : it->second) {
+/// Recursively attaches the children of `parent_id` from the grouped map,
+/// moving their strings into the XmlNodes.
+void AssembleLocal(std::map<int64_t, std::vector<StoredNode>>* by_parent,
+                   int64_t parent_id, XmlNode* parent) {
+  auto it = by_parent->find(parent_id);
+  if (it == by_parent->end()) return;
+  for (StoredNode& n : it->second) {
     switch (n.kind) {
       case XmlNodeKind::kAttribute:
-        parent->SetAttribute(n.tag, n.value);
+        parent->SetAttribute(std::move(n.tag), std::move(n.value));
         break;
       case XmlNodeKind::kElement: {
-        XmlNode* e = parent->AppendChild(XmlNode::Element(n.tag));
+        XmlNode* e = parent->AppendChild(XmlNode::Element(std::move(n.tag)));
         AssembleLocal(by_parent, n.id, e);
         break;
       }
       case XmlNodeKind::kText:
-        parent->AppendChild(XmlNode::Text(n.value));
+        parent->AppendChild(XmlNode::Text(std::move(n.value)));
         break;
       case XmlNodeKind::kComment:
-        parent->AppendChild(XmlNode::Comment(n.value));
+        parent->AppendChild(XmlNode::Comment(std::move(n.value)));
         break;
       case XmlNodeKind::kProcessingInstruction:
-        parent->AppendChild(XmlNode::ProcessingInstruction(n.tag, n.value));
+        parent->AppendChild(XmlNode::ProcessingInstruction(
+            std::move(n.tag), std::move(n.value)));
         break;
       case XmlNodeKind::kDocument:
         break;
@@ -387,36 +370,42 @@ Result<std::unique_ptr<XmlDocument>> LocalStore::ReconstructDocument() {
   std::map<int64_t, std::vector<StoredNode>> by_parent;
   for (StoredNode& n : all) by_parent[n.pid].push_back(std::move(n));
   auto doc = std::make_unique<XmlDocument>();
-  AssembleLocal(by_parent, 0, doc->root());
+  AssembleLocal(&by_parent, 0, doc->root());
   return doc;
 }
 
 Result<std::unique_ptr<XmlNode>> LocalStore::ReconstructSubtree(
     const StoredNode& node) {
-  // Recursive child queries: the subtree has no single-range identity in
-  // the local scheme.
+  return Reconstruct(node);
+}
+
+Result<std::unique_ptr<XmlNode>> LocalStore::Reconstruct(StoredNode node) {
+  // Recursive per-element probes: the subtree has no single-range identity
+  // in the local scheme.
   std::unique_ptr<XmlNode> out;
   switch (node.kind) {
     case XmlNodeKind::kElement:
-      out = XmlNode::Element(node.tag);
+      out = XmlNode::Element(std::move(node.tag));
       break;
     case XmlNodeKind::kText:
-      return XmlNode::Text(node.value);
+      return XmlNode::Text(std::move(node.value));
     case XmlNodeKind::kComment:
-      return XmlNode::Comment(node.value);
+      return XmlNode::Comment(std::move(node.value));
     case XmlNodeKind::kProcessingInstruction:
-      return XmlNode::ProcessingInstruction(node.tag, node.value);
+      return XmlNode::ProcessingInstruction(std::move(node.tag),
+                                            std::move(node.value));
     default:
       return Status::InvalidArgument("cannot reconstruct this node kind");
   }
-  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> attrs,
-                        Attributes(node, {}));
-  for (const StoredNode& a : attrs) out->SetAttribute(a.tag, a.value);
-  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> kids,
-                        Children(node, NodeTest::AnyNode()));
-  for (const StoredNode& kid : kids) {
+  OXML_ASSIGN_OR_RETURN(std::vector<StoredNode> rows,
+                        Select("pid = ?", {Value::Int(node.id)}, "sord"));
+  for (StoredNode& row : rows) {
+    if (row.kind == XmlNodeKind::kAttribute) {
+      out->SetAttribute(std::move(row.tag), std::move(row.value));
+      continue;
+    }
     OXML_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> child,
-                          ReconstructSubtree(kid));
+                          Reconstruct(std::move(row)));
     out->AppendChild(std::move(child));
   }
   return out;

@@ -1,5 +1,7 @@
 #include "src/core/ordered_store.h"
 
+#include <cstring>
+
 #include "src/common/strings.h"
 #include "src/core/stores.h"
 #include "src/relational/thread_pool.h"
@@ -57,21 +59,21 @@ std::string NodeTest::SqlConditionP(Row* params) const {
   return SqlCondition();  // no tag => no variable part
 }
 
-void AppendOrderAndLimit(const std::string& order, size_t limit,
+void AppendOrderAndLimit(std::string_view order, size_t limit,
                          std::string* sql, Row* params) {
-  if (!order.empty()) *sql += " ORDER BY " + order;
+  if (!order.empty()) sql->append(" ORDER BY ").append(order);
   if (limit > 0) {
-    *sql += " LIMIT ?";
+    sql->append(" LIMIT ?");
     params->push_back(Value::Int(static_cast<int64_t>(limit)));
   }
 }
 
-Status AssembleByDepth(const std::vector<StoredNode>& nodes,
-                       int64_t base_depth, XmlNode* root) {
+Status AssembleByDepth(std::vector<StoredNode> nodes, int64_t base_depth,
+                       XmlNode* root) {
   // stack[i] holds the open node at depth (base_depth + i - 1); stack[0] is
   // the container. A row at depth d attaches to stack[d - base_depth].
   std::vector<XmlNode*> stack{root};
-  for (const StoredNode& n : nodes) {
+  for (StoredNode& n : nodes) {
     if (n.depth < base_depth) {
       return Status::Internal("inconsistent depth while reconstructing");
     }
@@ -83,21 +85,22 @@ Status AssembleByDepth(const std::vector<StoredNode>& nodes,
     XmlNode* parent = stack.back();
     switch (n.kind) {
       case XmlNodeKind::kAttribute:
-        parent->SetAttribute(n.tag, n.value);
+        parent->SetAttribute(std::move(n.tag), std::move(n.value));
         break;
       case XmlNodeKind::kElement: {
-        XmlNode* e = parent->AppendChild(XmlNode::Element(n.tag));
+        XmlNode* e = parent->AppendChild(XmlNode::Element(std::move(n.tag)));
         stack.push_back(e);
         break;
       }
       case XmlNodeKind::kText:
-        parent->AppendChild(XmlNode::Text(n.value));
+        parent->AppendChild(XmlNode::Text(std::move(n.value)));
         break;
       case XmlNodeKind::kComment:
-        parent->AppendChild(XmlNode::Comment(n.value));
+        parent->AppendChild(XmlNode::Comment(std::move(n.value)));
         break;
       case XmlNodeKind::kProcessingInstruction:
-        parent->AppendChild(XmlNode::ProcessingInstruction(n.tag, n.value));
+        parent->AppendChild(XmlNode::ProcessingInstruction(
+            std::move(n.tag), std::move(n.value)));
         break;
       case XmlNodeKind::kDocument:
         return Status::Internal("unexpected document row");
@@ -199,6 +202,23 @@ Result<int64_t> OrderedXmlStore::DmlP(const std::string& sql, Row params,
                                       UpdateStats* stats) {
   if (stats != nullptr) ++stats->statements;
   return db_->ExecuteP(sql, std::move(params));
+}
+
+Result<std::vector<StoredNode>> OrderedXmlStore::Select(
+    std::string_view where, Row params, std::string_view order,
+    size_t limit) {
+  const char* cols = NodeColumns();
+  std::string sql;
+  sql.reserve(32 + std::strlen(cols) + table_name().size() + where.size() +
+              order.size());
+  sql.append("SELECT ").append(cols).append(" FROM ").append(table_name());
+  if (!where.empty()) sql.append(" WHERE ").append(where);
+  AppendOrderAndLimit(order, limit, &sql, &params);
+  OXML_ASSIGN_OR_RETURN(ResultSet rs, SqlP(sql, std::move(params)));
+  std::vector<StoredNode> out;
+  out.reserve(rs.rows.size());
+  for (Row& row : rs.rows) out.push_back(NodeFromRow(std::move(row)));
+  return out;
 }
 
 Status OrderedXmlStore::LoadDocument(const XmlDocument& doc) {

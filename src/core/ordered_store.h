@@ -207,9 +207,10 @@ class OrderedXmlStore {
   virtual const char* NodeColumns() const = 0;
 
   /// Materializes a StoredNode from a result row laid out per
-  /// NodeColumns(). Used by callers that run their own SQL (e.g. the
-  /// whole-path translator).
-  virtual StoredNode NodeFromRow(const Row& row) const = 0;
+  /// NodeColumns(), taking over the row's strings (pass an rvalue to avoid
+  /// copying them). Used by Select and by callers that run their own SQL
+  /// (e.g. the whole-path translator).
+  virtual StoredNode NodeFromRow(Row row) const = 0;
 
   // --------------------------------------------------------- conveniences
 
@@ -271,6 +272,15 @@ class OrderedXmlStore {
                          UpdateStats* stats = nullptr);
   Result<int64_t> DmlP(const std::string& sql, Row params,
                        UpdateStats* stats = nullptr);
+
+  /// SELECT NodeColumns() FROM the node table [WHERE `where`] [ORDER BY
+  /// `order`] [LIMIT ?], as StoredNodes. `where` may contain '?' markers
+  /// bound from `params`; the text is stable across calls, so repeated
+  /// axis steps reuse one cached plan. The text is built in one reserved
+  /// buffer and the result rows' strings move into the nodes.
+  Result<std::vector<StoredNode>> Select(std::string_view where, Row params,
+                                         std::string_view order,
+                                         size_t limit = 0);
 
  private:
   /// The enable_parallel_load body of LoadDocument: partition + parallel

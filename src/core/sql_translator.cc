@@ -332,7 +332,9 @@ Result<std::vector<StoredNode>> EvaluateXPathViaSql(OrderedXmlStore* store,
   OXML_ASSIGN_OR_RETURN(ResultSet rs, ps.Query());
   std::vector<StoredNode> out;
   out.reserve(rs.rows.size());
-  for (const Row& row : rs.rows) out.push_back(store->NodeFromRow(row));
+  for (Row& row : rs.rows) {
+    out.push_back(store->NodeFromRow(std::move(row)));
+  }
   return out;
 }
 

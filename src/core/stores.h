@@ -15,12 +15,13 @@ namespace oxml {
 /// starting at `base_depth` — into a tree under `root`. Shared by the
 /// Global and Dewey reconstruction paths (both retrieve rows in document
 /// order and rebuild the tree with a depth stack).
-Status AssembleByDepth(const std::vector<StoredNode>& nodes,
-                       int64_t base_depth, XmlNode* root);
+/// The nodes' strings move into the XmlNodes.
+Status AssembleByDepth(std::vector<StoredNode> nodes, int64_t base_depth,
+                       XmlNode* root);
 
-/// Appends "ORDER BY `order`" and, for a `limit` > 0, "LIMIT ?" bound to
-/// it: every limit shares one SQL text and thus one cached plan.
-void AppendOrderAndLimit(const std::string& order, size_t limit,
+/// Appends " ORDER BY `order`" and, for a `limit` > 0, " LIMIT ?" bound to
+/// it, in place: every limit shares one SQL text and thus one cached plan.
+void AppendOrderAndLimit(std::string_view order, size_t limit,
                          std::string* sql, Row* params);
 
 /// The AttributeValues answer for `owners`, given the probed values keyed
@@ -86,7 +87,7 @@ class GlobalStore : public StoreBase {
   Status SortDocumentOrder(std::vector<StoredNode>* nodes) override;
   Result<std::string> StringValue(const StoredNode& node) override;
   const char* NodeColumns() const override;
-  StoredNode NodeFromRow(const Row& row) const override;
+  StoredNode NodeFromRow(Row row) const override;
   Status Validate() override;
   Result<bool> IsDescendantOf(const StoredNode& node,
                               const StoredNode& ancestor) override;
@@ -104,12 +105,6 @@ class GlobalStore : public StoreBase {
   LoadKeyKind LoadKey() const override { return LoadKeyKind::kInt; }
 
  private:
-  /// `where` may contain '?' markers bound from `params`; the generated
-  /// SQL text is stable across calls so repeated axis steps reuse one
-  /// cached plan.
-  Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params, const std::string& order,
-                                         size_t limit = 0);
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   /// Shreds `node` assigning ordinals spaced by `step` starting after
   /// `*counter`; returns rows appended to `rows`.
@@ -158,7 +153,7 @@ class LocalStore : public StoreBase {
   Status SortDocumentOrder(std::vector<StoredNode>* nodes) override;
   Result<std::string> StringValue(const StoredNode& node) override;
   const char* NodeColumns() const override;
-  StoredNode NodeFromRow(const Row& row) const override;
+  StoredNode NodeFromRow(Row row) const override;
   Status Validate() override;
   Result<bool> IsDescendantOf(const StoredNode& node,
                               const StoredNode& ancestor) override;
@@ -181,11 +176,13 @@ class LocalStore : public StoreBase {
   }
 
  private:
-  Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params, const std::string& order,
-                                         size_t limit = 0);
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);
+  /// ReconstructSubtree over a node it may take the strings of: one
+  /// `pid = ?` statement per element returns its attributes and then its
+  /// children, since every attribute's sord precedes the first child's
+  /// (Validate checks it).
+  Result<std::unique_ptr<XmlNode>> Reconstruct(StoredNode node);
   /// Ordinal path from the root to `node` (ancestor sords), fetched by
   /// iterated parent lookups with memoization — the cost center of
   /// document-order sorting under local numbering.
@@ -234,7 +231,7 @@ class DeweyStore : public StoreBase {
   Status SortDocumentOrder(std::vector<StoredNode>* nodes) override;
   Result<std::string> StringValue(const StoredNode& node) override;
   const char* NodeColumns() const override;
-  StoredNode NodeFromRow(const Row& row) const override;
+  StoredNode NodeFromRow(Row row) const override;
   Status Validate() override;
   Result<bool> IsDescendantOf(const StoredNode& node,
                               const StoredNode& ancestor) override;
@@ -252,9 +249,6 @@ class DeweyStore : public StoreBase {
   LoadKeyKind LoadKey() const override { return LoadKeyKind::kBlob; }
 
  private:
-  Result<std::vector<StoredNode>> Select(const std::string& where,
-                                         Row params, const std::string& order,
-                                         size_t limit = 0);
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   void ShredInto(const XmlNode& node, const DeweyKey& key,
                  std::vector<Row>* rows);

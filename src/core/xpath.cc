@@ -1,6 +1,7 @@
 #include "src/core/xpath.h"
 
 #include <cctype>
+#include <limits>
 
 namespace oxml {
 
@@ -261,7 +262,13 @@ class XPathParser {
     }
     if (pos_ == start) return Error("expected an integer");
     int64_t v = 0;
-    for (size_t i = start; i < pos_; ++i) v = v * 10 + (input_[i] - '0');
+    for (size_t i = start; i < pos_; ++i) {
+      int digit = input_[i] - '0';
+      if (v > (std::numeric_limits<int64_t>::max() - digit) / 10) {
+        return Error("integer out of range");
+      }
+      v = v * 10 + digit;
+    }
     return neg ? -v : v;
   }
 

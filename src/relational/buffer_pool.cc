@@ -326,6 +326,15 @@ Result<PageHandle> BufferPool::NewPage() {
   return PageHandle(this, id, frame.data.get());
 }
 
+size_t BufferPool::pinned_frame_count() const {
+  std::shared_lock<std::shared_mutex> lock(table_mu_);
+  size_t n = 0;
+  for (const auto& [id, frame] : frames_) {
+    if (frame.pin_count.load(std::memory_order_relaxed) > 0) ++n;
+  }
+  return n;
+}
+
 Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
   const std::optional<uint64_t>& lsn = CurrentStatementContext().snapshot_lsn;
   const uint64_t* snap = mvcc_enabled_ && lsn.has_value() ? &*lsn : nullptr;

@@ -262,6 +262,10 @@ class BufferPool {
     std::shared_lock<std::shared_mutex> lock(table_mu_);
     return backend_->page_count();
   }
+  /// Frames with a non-zero pin count. Between statements this is 0: an
+  /// operator holds no pin between its Next() calls (INTERNALS.md §6).
+  size_t pinned_frame_count() const;
+
   uint64_t hit_count() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t miss_count() const {
     return misses_.load(std::memory_order_relaxed);

@@ -879,10 +879,9 @@ Result<std::unique_ptr<PlanInstance>> Database::CompileInstance(
 
 Result<std::shared_ptr<CachedPlan>> Database::GetOrBuildPlan(
     std::string_view sql) {
-  std::string key(sql);
   {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
-    auto it = plan_cache_.find(key);
+    auto it = plan_cache_.find(sql);
     if (it != plan_cache_.end()) {
       ++stats_.plan_cache_hits;
       lru_.splice(lru_.begin(), lru_, it->second->lru_it);
@@ -893,6 +892,7 @@ Result<std::shared_ptr<CachedPlan>> Database::GetOrBuildPlan(
 
   // Compile outside the cache mutex: planning reads only the catalog
   // (protected by the statement latch every caller already holds).
+  std::string key(sql);  // copied only on a miss
   auto entry = std::make_shared<CachedPlan>();
   entry->sql = key;
   entry->generation = catalog_generation_;
@@ -1400,10 +1400,11 @@ Result<std::vector<Rid>> Database::CollectRids(TableInfo* table,
     IndexCursor it = path.lower.has_value()
                          ? path.index->ScanFrom(*path.lower)
                          : path.index->ScanBegin();
+    Row row;
     while (it.valid()) {
       OXML_RETURN_NOT_OK(CheckCurrentControl());
       if (path.upper.has_value() && it.key() >= *path.upper) break;
-      OXML_ASSIGN_OR_RETURN(Row row, table->heap()->Get(it.rid()));
+      OXML_RETURN_NOT_OK(table->heap()->Get(it.rid(), &row));
       ++stats_.rows_scanned;
       OXML_ASSIGN_OR_RETURN(bool ok, row_matches(row));
       if (ok) rids.push_back(it.rid());

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -740,7 +741,17 @@ class Database {
   // `plan_cache_mu_` guards the map and the LRU list; per-entry instance
   // state is guarded by each CachedPlan's own mutex.
   mutable std::mutex plan_cache_mu_;
-  std::unordered_map<std::string, std::shared_ptr<CachedPlan>> plan_cache_;
+  /// Hashes SQL texts by string_view, so a hit looks the caller's text up
+  /// without copying it.
+  struct SqlTextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view sql) const {
+      return std::hash<std::string_view>{}(sql);
+    }
+  };
+  std::unordered_map<std::string, std::shared_ptr<CachedPlan>, SqlTextHash,
+                     std::equal_to<>>
+      plan_cache_;
   std::list<std::string> lru_;
   size_t plan_cache_capacity_ = 128;
   uint64_t catalog_generation_ = 0;

@@ -29,7 +29,8 @@ void Operator::Describe(int indent, std::string* out) const {
       if (c >= 0 && static_cast<size_t>(c) < schema_.size()) {
         out->append(schema_.column(c).name);
       } else {
-        out->append("#" + std::to_string(c));
+        out->push_back('#');
+        out->append(std::to_string(c));
       }
       if (order_[i].desc) out->append(" DESC");
     }
@@ -204,7 +205,7 @@ Result<bool> IndexScanOp::Next(Row* row) {
   OXML_RETURN_NOT_OK(CheckCurrentControl());
   if (!it_.valid()) return false;
   if (upper_.has_value() && it_.key() >= *upper_) return false;
-  OXML_ASSIGN_OR_RETURN(*row, table_->heap()->Get(it_.rid()));
+  OXML_RETURN_NOT_OK(table_->heap()->Get(it_.rid(), row));
   it_.Next();
   if (stats_ != nullptr) ++stats_->rows_scanned;
   return true;
@@ -266,19 +267,37 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,
     if (mapped < 0) break;
     order_.push_back({mapped, k.desc});
   }
+  for (const ExprPtr& e : exprs_) {
+    if (e->kind() != Expr::Kind::kColumn) {
+      move_columns_.clear();
+      break;
+    }
+    int c = static_cast<const ColumnExpr*>(e.get())->index();
+    if (std::find(move_columns_.begin(), move_columns_.end(), c) !=
+        move_columns_.end()) {
+      move_columns_.clear();
+      break;
+    }
+    move_columns_.push_back(c);
+  }
 }
 
 Status ProjectOp::Open() { return child_->Open(); }
 
 Result<bool> ProjectOp::Next(Row* row) {
-  Row in;
-  OXML_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
+  OXML_ASSIGN_OR_RETURN(bool has, child_->Next(&in_));
   if (!has) return false;
-  row->clear();
-  row->reserve(exprs_.size());
-  for (const auto& e : exprs_) {
-    OXML_ASSIGN_OR_RETURN(Value v, e->Eval(in));
-    row->push_back(std::move(v));
+  row->resize(exprs_.size());
+  if (!move_columns_.empty()) {
+    // Distinct columns: each input value has exactly one destination, and
+    // the child overwrites in_ on its next call.
+    for (size_t j = 0; j < move_columns_.size(); ++j) {
+      (*row)[j] = std::move(in_[move_columns_[j]]);
+    }
+    return true;
+  }
+  for (size_t j = 0; j < exprs_.size(); ++j) {
+    OXML_ASSIGN_OR_RETURN((*row)[j], exprs_[j]->Eval(in_));
   }
   return true;
 }
@@ -507,11 +526,11 @@ Result<bool> IndexNestedLoopJoinOp::Next(Row* row) {
     if (it_.valid() && it_.key().size() >= probe_key_.size() &&
         std::string_view(it_.key()).substr(0, probe_key_.size()) ==
             probe_key_) {
-      OXML_ASSIGN_OR_RETURN(Row inner_row, inner_->heap()->Get(it_.rid()));
+      OXML_RETURN_NOT_OK(inner_->heap()->Get(it_.rid(), &inner_row_));
       it_.Next();
       if (stats_ != nullptr) ++stats_->rows_scanned;
-      *row = outer_row_;
-      row->insert(row->end(), inner_row.begin(), inner_row.end());
+      row->assign(outer_row_.begin(), outer_row_.end());
+      for (Value& v : inner_row_) row->push_back(std::move(v));
       return true;
     }
     have_outer_ = false;

@@ -123,6 +123,10 @@ class SeqScanOp : public Operator {
 /// from the bound terms; a NULL binding degrades the scan to an unbounded
 /// range, which is safe because dynamic plans keep every bound conjunct in
 /// the residual filter — rows escaping the filter still honor the order.
+///
+/// Each row is decoded straight from its pinned heap page into the caller's
+/// reused Row; the page is unpinned before Next() returns, so a scan holds
+/// no pin between calls.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(TableInfo* table, TableIndex* index, Schema qualified_schema,
@@ -161,6 +165,9 @@ class FilterOp : public Operator {
   ExprPtr predicate_;
 };
 
+/// Evaluates `exprs` over each child row. The child fills one reused input
+/// row; when the expressions are distinct bare columns (the shape of every
+/// store query), their values are moved out of it instead of copied.
 class ProjectOp : public Operator {
  public:
   /// `exprs` are bound against the child's schema; `out_schema` names the
@@ -175,6 +182,10 @@ class ProjectOp : public Operator {
  private:
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
+  /// Input column of each output column when every expression is a
+  /// distinct bare column; empty otherwise.
+  std::vector<int> move_columns_;
+  Row in_;
 };
 
 /// Block nested-loop join: materializes the right input, then streams the
@@ -380,6 +391,7 @@ class IndexNestedLoopJoinOp : public Operator {
   std::vector<ExprPtr> outer_keys_;
   ExecStats* stats_;
   Row outer_row_;
+  Row inner_row_;
   bool have_outer_ = false;
   IndexCursor it_;
   std::string probe_key_;

@@ -91,10 +91,10 @@ Result<std::string> HeapTable::MakeCell(const Row& row) {
   return marker;
 }
 
-Result<Row> HeapTable::ReadCell(std::string_view cell) const {
+Status HeapTable::ReadCell(std::string_view cell, Row* row) const {
   if (cell.empty()) return Status::Internal("empty heap cell");
   if (cell[0] == kInlineTag) {
-    return DecodeRow(schema_, cell.substr(1));
+    return DecodeRow(schema_, cell.substr(1), row);
   }
   if (cell[0] != kOverflowTag || cell.size() != 9) {
     return Status::Internal("corrupt heap cell tag");
@@ -116,7 +116,7 @@ Result<Row> HeapTable::ReadCell(std::string_view cell) const {
   if (encoded.size() != total) {
     return Status::Internal("truncated overflow chain");
   }
-  return DecodeRow(schema_, encoded);
+  return DecodeRow(schema_, encoded, row);
 }
 
 Result<Rid> HeapTable::Insert(const Row& row) {
@@ -185,14 +185,26 @@ Status HeapTable::AppendBatch(const std::vector<Row>& rows,
 }
 
 Result<Row> HeapTable::Get(const Rid& rid) const {
-  std::string cell;
-  {
-    OXML_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(rid.page_id));
-    SlottedPage sp(page.data());
-    OXML_ASSIGN_OR_RETURN(std::string_view view, sp.Get(rid.slot));
-    cell.assign(view);
-  }
-  return ReadCell(cell);
+  Row row;
+  OXML_RETURN_NOT_OK(Get(rid, &row));
+  return row;
+}
+
+Status HeapTable::Get(const Rid& rid, Row* row) const {
+  OXML_ASSIGN_OR_RETURN(PageHandle page, pool_->FetchPage(rid.page_id));
+  OXML_ASSIGN_OR_RETURN(std::string_view cell,
+                        SlottedPage(page.data()).Get(rid.slot));
+  return ReadPinnedCell(cell, &page, row);
+}
+
+Status HeapTable::ReadPinnedCell(std::string_view cell, PageHandle* page,
+                                 Row* row) const {
+  if (cell.empty() || cell[0] != kOverflowTag) return ReadCell(cell, row);
+  // An overflow row: drop the heap page before walking the chain, so a
+  // reader holds at most one page of a table at any time.
+  std::string marker(cell);
+  *page = PageHandle();
+  return ReadCell(marker, row);
 }
 
 Status HeapTable::Delete(const Rid& rid) {
@@ -279,31 +291,17 @@ Result<std::vector<uint32_t>> HeapTable::PageChain() const {
 
 Result<bool> HeapTable::Iterator::Next(Rid* rid, Row* row) {
   while (page_id_ != kInvalidPageId) {
-    std::string cell;
-    uint16_t found_slot = 0;
-    uint32_t next_page = kInvalidPageId;
-    bool have_cell = false;
-    {
-      OXML_ASSIGN_OR_RETURN(PageHandle page,
-                            table_->pool_->FetchPage(page_id_));
-      SlottedPage sp(page.data());
-      while (next_slot_ < sp.slot_count()) {
-        uint16_t slot = next_slot_++;
-        Result<std::string_view> view = sp.Get(slot);
-        if (!view.ok()) continue;  // deleted slot
-        cell.assign(*view);
-        found_slot = slot;
-        have_cell = true;
-        break;
-      }
-      next_page = sp.next_page();
-    }
-    if (have_cell) {
-      OXML_ASSIGN_OR_RETURN(*row, table_->ReadCell(cell));
-      *rid = Rid{page_id_, found_slot};
+    OXML_ASSIGN_OR_RETURN(PageHandle page, table_->pool_->FetchPage(page_id_));
+    SlottedPage sp(page.data());
+    while (next_slot_ < sp.slot_count()) {
+      uint16_t slot = next_slot_++;
+      Result<std::string_view> cell = sp.Get(slot);
+      if (!cell.ok()) continue;  // deleted slot
+      *rid = Rid{page_id_, slot};
+      OXML_RETURN_NOT_OK(table_->ReadPinnedCell(*cell, &page, row));
       return true;
     }
-    page_id_ = (--pages_left_ == 0) ? kInvalidPageId : next_page;
+    page_id_ = (--pages_left_ == 0) ? kInvalidPageId : sp.next_page();
     next_slot_ = 0;
   }
   return false;

@@ -72,6 +72,11 @@ class HeapTable {
   Status AppendBatch(const std::vector<Row>& rows, std::vector<Rid>* rids);
 
   Result<Row> Get(const Rid& rid) const;
+
+  /// Reads the row at `rid` into `*row`, reusing its storage: the row is
+  /// decoded straight from the pinned heap page, and the page is unpinned
+  /// before returning.
+  Status Get(const Rid& rid, Row* row) const;
   Status Delete(const Rid& rid);
 
   /// Updates in place when possible; otherwise moves the row, returning its
@@ -112,8 +117,14 @@ class HeapTable {
  private:
   /// Builds the tagged cell for `row`, writing overflow pages if needed.
   Result<std::string> MakeCell(const Row& row);
-  /// Decodes a tagged cell (following the overflow chain if needed).
-  Result<Row> ReadCell(std::string_view cell) const;
+  /// Decodes a tagged cell into `*row` (following the overflow chain if
+  /// needed).
+  Status ReadCell(std::string_view cell, Row* row) const;
+  /// ReadCell for a cell that lies in `*page`. An overflow row's marker is
+  /// copied and `*page` released before its chain is read, so a reader
+  /// never holds more than one page of the table.
+  Status ReadPinnedCell(std::string_view cell, PageHandle* page,
+                        Row* row) const;
 
   HeapTable(BufferPool* pool, Schema schema, uint32_t first_page)
       : pool_(pool),

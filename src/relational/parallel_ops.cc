@@ -110,7 +110,8 @@ Status ParallelScanOp::OpenIndex(size_t target_shards) {
     const std::optional<std::string>& stop = bounds[i + 1];
     while (it.valid() && !(stop.has_value() && it.key() >= *stop)) {
       OXML_RETURN_NOT_OK(CheckCurrentControl());
-      OXML_ASSIGN_OR_RETURN(Row row, table_->heap()->Get(it.rid()));
+      Row row;
+      OXML_RETURN_NOT_OK(table_->heap()->Get(it.rid(), &row));
       OXML_RETURN_NOT_OK(budget.AddRow(row));
       partitions_[i].push_back(std::move(row));
       if (stats_ != nullptr) ++stats_->rows_scanned;

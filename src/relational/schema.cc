@@ -95,19 +95,19 @@ std::string EncodeRow(const Schema& schema, const Row& row) {
   return out;
 }
 
-Result<Row> DecodeRow(const Schema& schema, std::string_view bytes) {
+Status DecodeRow(const Schema& schema, std::string_view bytes, Row* row) {
   size_t n = schema.size();
   size_t bitmap_bytes = (n + 7) / 8;
   if (bytes.size() < bitmap_bytes) {
     return Status::Internal("row bytes shorter than null bitmap");
   }
-  Row row;
-  row.reserve(n);
+  row->resize(n);
   size_t pos = bitmap_bytes;
   for (size_t i = 0; i < n; ++i) {
+    Value& out = (*row)[i];
     bool is_null = (bytes[i / 8] >> (i % 8)) & 1;
     if (is_null) {
-      row.push_back(Value::Null());
+      out = Value::Null();
       continue;
     }
     switch (schema.column(i).type) {
@@ -116,17 +116,15 @@ Result<Row> DecodeRow(const Schema& schema, std::string_view bytes) {
         uint64_t v;
         std::memcpy(&v, bytes.data() + pos, 8);
         pos += 8;
-        row.push_back(Value::Int(static_cast<int64_t>(v)));
+        out = Value::Int(static_cast<int64_t>(v));
         break;
       }
       case TypeId::kDouble: {
         if (pos + 8 > bytes.size()) return Status::Internal("truncated row");
-        uint64_t bits;
-        std::memcpy(&bits, bytes.data() + pos, 8);
-        pos += 8;
         double d;
-        std::memcpy(&d, &bits, 8);
-        row.push_back(Value::Double(d));
+        std::memcpy(&d, bytes.data() + pos, 8);
+        pos += 8;
+        out = Value::Double(d);
         break;
       }
       case TypeId::kText:
@@ -135,22 +133,17 @@ Result<Row> DecodeRow(const Schema& schema, std::string_view bytes) {
         uint32_t len;
         std::memcpy(&len, bytes.data() + pos, 4);
         pos += 4;
-        if (pos + len > bytes.size()) return Status::Internal("truncated row");
-        std::string s(bytes.substr(pos, len));
+        if (len > bytes.size() - pos) return Status::Internal("truncated row");
+        out.AssignString(schema.column(i).type, bytes.substr(pos, len));
         pos += len;
-        if (schema.column(i).type == TypeId::kText) {
-          row.push_back(Value::Text(std::move(s)));
-        } else {
-          row.push_back(Value::Blob(std::move(s)));
-        }
         break;
       }
       case TypeId::kNull:
-        row.push_back(Value::Null());
+        out = Value::Null();
         break;
     }
   }
-  return row;
+  return Status::OK();
 }
 
 }  // namespace oxml

@@ -51,8 +51,11 @@ class Schema {
 /// length-prefixed text/blob fields.
 std::string EncodeRow(const Schema& schema, const Row& row);
 
-/// Inverse of EncodeRow.
-Result<Row> DecodeRow(const Schema& schema, std::string_view bytes);
+/// Inverse of EncodeRow: decodes into `*row`, overwriting every column and
+/// reusing its vector and string buffers, so a scan that refills one Row
+/// per produced row allocates only for strings that outgrow the buffers
+/// they replace.
+Status DecodeRow(const Schema& schema, std::string_view bytes, Row* row);
 
 }  // namespace oxml
 

@@ -1,6 +1,7 @@
 #include "src/relational/sql_lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace oxml {
@@ -107,7 +108,11 @@ Result<std::vector<Token>> LexSql(std::string_view input) {
         tok.double_value = std::strtod(text.c_str(), nullptr);
       } else {
         tok.kind = TokenKind::kIntLiteral;
+        errno = 0;
         tok.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        // strtoll saturates at INT64_MAX; a literal past it is an error,
+        // not a silently different number.
+        if (errno == ERANGE) return error("integer literal out of range");
       }
       tok.text = std::move(text);
       tokens.push_back(std::move(tok));

@@ -476,6 +476,18 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     if (MatchSymbol("-")) {
       OXML_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      // Minus over a numeric literal folds into the literal, so `a = -5`
+      // is a sargable comparison with a constant like `a = 5`.
+      if (operand->kind() == Expr::Kind::kLiteral) {
+        const Value& v = static_cast<const LiteralExpr&>(*operand).value();
+        if (v.type() == TypeId::kInt) {
+          return ExprPtr(std::make_unique<LiteralExpr>(Value::Int(-v.AsInt())));
+        }
+        if (v.type() == TypeId::kDouble) {
+          return ExprPtr(
+              std::make_unique<LiteralExpr>(Value::Double(-v.AsDouble())));
+        }
+      }
       return ExprPtr(
           std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(operand)));
     }

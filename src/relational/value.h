@@ -64,6 +64,16 @@ class Value {
   }
   const std::string& AsString() const { return str_; }
 
+  /// Makes this a TEXT or BLOB value holding `bytes`, reusing the string's
+  /// buffer (the decode path refills one Row per scanned row).
+  void AssignString(TypeId type, std::string_view bytes) {
+    type_ = type;
+    str_.assign(bytes.data(), bytes.size());
+  }
+  /// Gives up the string of a TEXT/BLOB value, leaving it empty: the read
+  /// path moves strings from result rows into StoredNodes without a copy.
+  std::string TakeString() { return std::move(str_); }
+
   /// Truthiness for WHERE evaluation: non-zero numeric, NULL is false.
   bool IsTruthy() const;
 

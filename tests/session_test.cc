@@ -716,6 +716,37 @@ const char* const kQrQueries[] = {
     "/nitf/body/section[3]",                             // QR8 (reconstruct)
 };
 
+// A positional literal past int64 is a parse error, not undefined
+// behaviour: the kXPath frame answers with an error frame and the session
+// keeps serving.
+TEST(ServerTest, OverflowingXPathLiteralIsAnErrorFrame) {
+  ServerFixture fx;
+  auto store = OrderedXmlStore::Create(fx.db.get(), OrderEncoding::kGlobal, {});
+  ASSERT_TRUE(store.ok()) << store.status();
+  NewsGeneratorOptions gen;
+  gen.sections = 3;
+  gen.paragraphs_per_section = 2;
+  ASSERT_TRUE((*store)->LoadDocument(*GenerateNewsXml(gen)).ok());
+  fx.server->RegisterStore("doc", store->get());
+  auto client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+  for (const char* q : {"/nitf/body/section[99999999999999999999]",
+                        "/nitf/body/section[9223372036854775808]",
+                        "/nitf/body/section[position() < "
+                        "9223372036854775808]"}) {
+    auto bad = client->XPath("doc", q);
+    ASSERT_FALSE(bad.ok()) << q;
+    EXPECT_TRUE(bad.status().IsParseError()) << q << ": " << bad.status();
+  }
+  auto max = client->XPath("doc", "/nitf/body/section[9223372036854775807]");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_TRUE(max->empty());
+  auto good = client->XPath("doc", "/nitf/body/section[2]/title");
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->size(), 1u);
+  EXPECT_TRUE(client->Goodbye().ok());
+}
+
 class ServerQrDifferentialTest
     : public ::testing::TestWithParam<OrderEncoding> {};
 

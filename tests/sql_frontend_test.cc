@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "src/relational/database.h"
@@ -51,6 +52,30 @@ TEST(SqlLexerTest, Errors) {
   EXPECT_FALSE(LexSql("SELECT 'unterminated").ok());
   EXPECT_FALSE(LexSql("SELECT x'zz'").ok());
   EXPECT_FALSE(LexSql("SELECT #").ok());
+}
+
+TEST(SqlLexerTest, IntegerLiteralsStopAtInt64Range) {
+  auto toks = LexSql("9223372036854775807");
+  ASSERT_TRUE(toks.ok()) << toks.status();
+  EXPECT_EQ((*toks)[0].kind, TokenKind::kIntLiteral);
+  EXPECT_EQ((*toks)[0].int_value, std::numeric_limits<int64_t>::max());
+  for (const char* past : {"9223372036854775808", "99999999999999999999",
+                           "SELECT 1 FROM t WHERE a = 9223372036854775808"}) {
+    auto r = LexSql(past);
+    ASSERT_FALSE(r.ok()) << past;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status();
+  }
+  // Through the engine: a clean Status, and a later statement still runs.
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Execute("CREATE TABLE one (x INT)").ok());
+  ASSERT_TRUE((*db)->Execute("INSERT INTO one VALUES (1)").ok());
+  auto bad = (*db)->Query("SELECT 9223372036854775808 FROM one");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsParseError()) << bad.status();
+  auto good = (*db)->Query("SELECT -9223372036854775807 FROM one");
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->rows[0][0].AsInt(), -std::numeric_limits<int64_t>::max());
 }
 
 TEST(SqlLexerTest, ScientificNotation) {
@@ -360,6 +385,39 @@ TEST_F(PlannerTest, SplitAndCombineConjuncts) {
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(back->ToString(), "(((a = 1) AND (b = 2)) AND (c = 'x'))");
   EXPECT_EQ(CombineConjuncts({}), nullptr);
+}
+
+TEST_F(PlannerTest, NegativeLiteralsAreSargable) {
+  ASSERT_TRUE(db_->Execute("INSERT INTO t VALUES (-5, 500, 'neg')").ok());
+  // Unary minus over a numeric literal folds into the literal: the
+  // equality and both range bounds become index bounds, no residual
+  // filter.
+  for (const char* sql : {"SELECT b FROM t WHERE a = -5",
+                          "SELECT b FROM t WHERE a > -3 AND a < 2"}) {
+    std::string plan = Plan(sql);
+    EXPECT_NE(plan.find("IndexScan(t.t_ab range)"), std::string::npos)
+        << plan;
+    EXPECT_EQ(plan.find("Filter"), std::string::npos) << plan;
+  }
+  uint64_t before = db_->stats()->rows_scanned;
+  auto rs = db_->Query("SELECT b FROM t WHERE a = -5");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 500);
+  EXPECT_LE(db_->stats()->rows_scanned - before, 1u);
+  before = db_->stats()->rows_scanned;
+  rs = db_->Query("SELECT b FROM t WHERE a > -3 AND a < 2");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows.size(), 20u);  // a in {0, 1}
+  EXPECT_EQ(db_->stats()->rows_scanned - before, 20u);
+  // Minus over a column stays an expression (and a residual filter).
+  EXPECT_NE(Plan("SELECT b FROM t WHERE -a = 5").find("Filter"),
+            std::string::npos);
+  // Folding keeps double literals and double negation exact.
+  rs = db_->Query("SELECT - -3, -2.5 FROM t WHERE a = -5");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 3);
+  EXPECT_DOUBLE_EQ(rs->rows[0][1].AsDouble(), -2.5);
 }
 
 TEST_F(PlannerTest, LossyCoercionIsNotSargable) {

@@ -159,13 +159,13 @@ TEST(RowCodecTest, RoundTripAllTypes) {
                  {"b", TypeId::kBlob}});
   Row row{Value::Int(-42), Value::Double(3.25), Value::Text("hi there"),
           Value::Blob(std::string("\x00\x01\xFF", 3))};
-  auto decoded = DecodeRow(schema, EncodeRow(schema, row));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), 4u);
-  EXPECT_EQ((*decoded)[0].AsInt(), -42);
-  EXPECT_DOUBLE_EQ((*decoded)[1].AsDouble(), 3.25);
-  EXPECT_EQ((*decoded)[2].AsString(), "hi there");
-  EXPECT_EQ((*decoded)[3].AsString(), std::string("\x00\x01\xFF", 3));
+  Row decoded;
+  ASSERT_TRUE(DecodeRow(schema, EncodeRow(schema, row), &decoded).ok());
+  ASSERT_EQ(decoded.size(), 4u);
+  EXPECT_EQ(decoded[0].AsInt(), -42);
+  EXPECT_DOUBLE_EQ(decoded[1].AsDouble(), 3.25);
+  EXPECT_EQ(decoded[2].AsString(), "hi there");
+  EXPECT_EQ(decoded[3].AsString(), std::string("\x00\x01\xFF", 3));
 }
 
 TEST(RowCodecTest, NullBitmap) {
@@ -173,18 +173,50 @@ TEST(RowCodecTest, NullBitmap) {
                  {"b", TypeId::kText},
                  {"c", TypeId::kDouble}});
   Row row{Value::Null(), Value::Text(""), Value::Null()};
-  auto decoded = DecodeRow(schema, EncodeRow(schema, row));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE((*decoded)[0].is_null());
-  EXPECT_FALSE((*decoded)[1].is_null());
-  EXPECT_TRUE((*decoded)[2].is_null());
+  Row decoded;
+  ASSERT_TRUE(DecodeRow(schema, EncodeRow(schema, row), &decoded).ok());
+  EXPECT_TRUE(decoded[0].is_null());
+  EXPECT_FALSE(decoded[1].is_null());
+  EXPECT_TRUE(decoded[2].is_null());
+}
+
+// Scans decode every row into one reused Row: nothing of the previous row
+// (type, string, a longer arity) may survive the next decode.
+TEST(RowCodecTest, DecodeOverwritesAReusedRow) {
+  Schema schema({{"a", TypeId::kInt},
+                 {"b", TypeId::kText},
+                 {"c", TypeId::kBlob}});
+  Row row{Value::Text("a string long enough to live on the heap"),
+          Value::Int(9), Value::Null(), Value::Int(4)};
+  ASSERT_TRUE(DecodeRow(schema,
+                        EncodeRow(schema, Row{Value::Int(1), Value::Null(),
+                                              Value::Blob("xy")}),
+                        &row)
+                  .ok());
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0].type(), TypeId::kInt);
+  EXPECT_EQ(row[0].AsInt(), 1);
+  EXPECT_TRUE(row[1].is_null());
+  EXPECT_EQ(row[2].type(), TypeId::kBlob);
+  EXPECT_EQ(row[2].AsString(), "xy");
+  ASSERT_TRUE(DecodeRow(schema,
+                        EncodeRow(schema, Row{Value::Null(), Value::Text("t"),
+                                              Value::Null()}),
+                        &row)
+                  .ok());
+  EXPECT_TRUE(row[0].is_null());
+  EXPECT_EQ(row[1].type(), TypeId::kText);
+  EXPECT_EQ(row[1].AsString(), "t");
+  EXPECT_TRUE(row[2].is_null());
+  EXPECT_EQ(row[2].AsString(), "");
 }
 
 TEST(RowCodecTest, RejectsTruncatedBytes) {
   Schema schema({{"t", TypeId::kText}});
   std::string bytes = EncodeRow(schema, Row{Value::Text("hello")});
-  auto r = DecodeRow(schema, std::string_view(bytes).substr(0, 3));
-  EXPECT_FALSE(r.ok());
+  Row decoded;
+  EXPECT_FALSE(
+      DecodeRow(schema, std::string_view(bytes).substr(0, 3), &decoded).ok());
 }
 
 // -------------------------------------------------------------- heap table

@@ -51,6 +51,40 @@ class StoreApiTest : public ::testing::TestWithParam<OrderEncoding> {
   std::unique_ptr<XmlDocument> doc_;
 };
 
+// Reconstruction cost in statements: Global and Dewey read a subtree with
+// one range statement; Local issues one `pid = ?` probe per element, which
+// returns the element's attributes and then its children.
+TEST_P(StoreApiTest, ReconstructionStatementsPerElement) {
+  struct Case {
+    const char* xpath;
+    const char* xml;
+    uint64_t elements;
+  };
+  const Case cases[] = {
+      {"//section[@id = 's1']/title", "<title>alpha</title>", 1},
+      {"//section[@id = 's1']",
+       "<section id=\"s1\"><title>alpha</title><para>p1</para>"
+       "<para>p2</para></section>",
+       4},
+      {"/doc/body",
+       "<body><section id=\"s1\"><title>alpha</title><para>p1</para>"
+       "<para>p2</para></section><section id=\"s2\"><title>beta</title>"
+       "<para>p3</para></section></body>",
+       8},
+  };
+  for (const Case& c : cases) {
+    StoredNode node = Node(c.xpath);
+    uint64_t before = db_->stats()->statements;
+    auto subtree = store_->ReconstructSubtree(node);
+    uint64_t statements = db_->stats()->statements - before;
+    ASSERT_TRUE(subtree.ok()) << subtree.status();
+    EXPECT_EQ(WriteXml(**subtree), c.xml);
+    EXPECT_EQ(statements,
+              GetParam() == OrderEncoding::kLocal ? c.elements : 1u)
+        << c.xpath;
+  }
+}
+
 TEST_P(StoreApiTest, MoveSubtreeReordersSections) {
   StoredNode s2 = Node("//section[@id = 's2']");
   StoredNode s1 = Node("//section[@id = 's1']");

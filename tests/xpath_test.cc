@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "src/core/xpath.h"
@@ -106,6 +107,25 @@ TEST(XPathParserTest, Errors) {
   EXPECT_FALSE(ParseXPath("/doc[").ok());
   EXPECT_FALSE(ParseXPath("/doc[@a ~ 'x']").ok());
   EXPECT_FALSE(ParseXPath("/doc[position() = ]").ok());
+}
+
+TEST(XPathParserTest, IntegerLiteralsStopAtInt64Range) {
+  auto q = ParseXPath("/doc/section[9223372036854775807]");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->steps[1].predicates[0].position,
+            std::numeric_limits<int64_t>::max());
+  q = ParseXPath("/doc/section[position() > -9223372036854775807]");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->steps[1].predicates[0].position,
+            -std::numeric_limits<int64_t>::max());
+  for (const char* past : {"/doc/section[9223372036854775808]",
+                           "/doc/section[99999999999999999999]",
+                           "/doc/section[position() >= 9223372036854775808]",
+                           "/doc/section[position() = -9223372036854775808]"}) {
+    auto r = ParseXPath(past);
+    ASSERT_FALSE(r.ok()) << past;
+    EXPECT_TRUE(r.status().IsParseError()) << r.status();
+  }
 }
 
 // -------------------------------------------------------- evaluation tests
