@@ -90,33 +90,9 @@ void DeweyStore::ShredInto(const XmlNode& node, const DeweyKey& key,
   }
 }
 
-Status DeweyStore::BulkInsert(const std::vector<Row>& rows,
-                              UpdateStats* stats) {
-  OXML_ASSIGN_OR_RETURN(
-      PreparedStatement ins,
-      db_->Prepare("INSERT INTO " + table_name() + " (" + kCols +
-                   ") VALUES (?, ?, ?, ?, ?)"));
-  OXML_RETURN_NOT_OK(ins.ExecuteBatch(rows).status());
-  if (stats != nullptr) {
-    ++stats->statements;
-    stats->nodes_inserted += static_cast<int64_t>(rows.size());
-  }
-  return Status::OK();
-}
-
-Status DeweyStore::DoLoadDocument(const XmlDocument& doc) {
-  std::vector<Row> rows;
-  int64_t comp = 0;
-  for (const auto& top : doc.root()->children()) {
-    comp += options_.gap;
-    ShredInto(*top, DeweyKey::Root(comp), &rows);
-  }
-  return BulkInsert(rows, nullptr);
-}
-
 Status DeweyStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   // The partitioner carried this node's full Dewey key down the descent;
-  // everything below just extends it exactly like the serial shredder.
+  // everything below just extends it exactly like a whole-document shred.
   OXML_ASSIGN_OR_RETURN(DeweyKey key, DeweyKey::Decode(u.dewey_path));
   if (u.whole_subtree) {
     ShredInto(*u.node, key, rows);
@@ -513,7 +489,7 @@ Result<UpdateStats> DeweyStore::DoInsertSubtree(const StoredNode& ref,
 
   std::vector<Row> rows;
   ShredInto(subtree, parent_key.Child(slot), &rows);
-  OXML_RETURN_NOT_OK(BulkInsert(rows, &stats));
+  OXML_RETURN_NOT_OK(InsertRows(rows, &stats));
   return stats;
 }
 

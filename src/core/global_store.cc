@@ -51,7 +51,7 @@ Status GlobalStore::CreateTableAndIndexes() {
 
 void GlobalStore::ShredInto(const XmlNode& node, int64_t pord, int64_t depth,
                             int64_t step, int64_t* counter,
-                            std::vector<Row>* rows, int64_t* subtree_max) {
+                            std::vector<Row>* rows) {
   *counter += step;
   int64_t ord = *counter;
   size_t row_index = rows->size();
@@ -68,48 +68,24 @@ void GlobalStore::ShredInto(const XmlNode& node, int64_t pord, int64_t depth,
             Value::Text(attr.name), Value::Text(attr.value)});
   }
   for (const auto& child : node.children()) {
-    int64_t child_max = 0;
-    ShredInto(*child, ord, depth + 1, step, counter, rows, &child_max);
+    ShredInto(*child, ord, depth + 1, step, counter, rows);
   }
   (*rows)[row_index][1] = Value::Int(*counter);  // eord = max ord in subtree
-  if (subtree_max != nullptr) *subtree_max = *counter;
-}
-
-Status GlobalStore::BulkInsert(const std::vector<Row>& rows,
-                               UpdateStats* stats) {
-  OXML_ASSIGN_OR_RETURN(
-      PreparedStatement ins,
-      db_->Prepare("INSERT INTO " + table_name() + " (" + kCols +
-                   ") VALUES (?, ?, ?, ?, ?, ?, ?)"));
-  OXML_RETURN_NOT_OK(ins.ExecuteBatch(rows).status());
-  if (stats != nullptr) {
-    ++stats->statements;  // modeled as one multi-row INSERT
-    stats->nodes_inserted += static_cast<int64_t>(rows.size());
-  }
-  return Status::OK();
-}
-
-Status GlobalStore::DoLoadDocument(const XmlDocument& doc) {
-  std::vector<Row> rows;
-  int64_t counter = 0;
-  for (const auto& top : doc.root()->children()) {
-    ShredInto(*top, 0, 1, options_.gap, &counter, &rows, nullptr);
-  }
-  return BulkInsert(rows, nullptr);
 }
 
 Status GlobalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   const int64_t step = options_.gap;
-  // The serial DFS bumps the counter before each row, so the k-th row of
+  // The depth-first shred bumps the counter before each row, so the k-th row of
   // the full stream (0-based) gets ord = step * (k + 1); the parent's ord
   // follows the same formula applied to its row offset.
   const int64_t pord =
       u.parent_row_offset < 0 ? 0 : step * (u.parent_row_offset + 1);
   if (u.whole_subtree) {
-    // Replay the serial shredder with the counter pre-positioned at the
-    // unit's first row; every ord/eord inside comes out identical.
+    // Run the depth-first shredder with the counter pre-positioned at the
+    // unit's first row; every ord/eord inside comes out as in a
+    // whole-document shred.
     int64_t counter = step * static_cast<int64_t>(u.row_offset);
-    ShredInto(*u.node, pord, u.depth, step, &counter, rows, nullptr);
+    ShredInto(*u.node, pord, u.depth, step, &counter, rows);
     return Status::OK();
   }
   // Header unit: the element row plus its attributes; the children arrive
@@ -480,10 +456,9 @@ Result<UpdateStats> GlobalStore::DoInsertSubtree(const StoredNode& ref,
 
   std::vector<Row> rows;
   int64_t counter = lo;
-  ShredInto(subtree, parent.ord, parent.depth + 1, step, &counter, &rows,
-            nullptr);
+  ShredInto(subtree, parent.ord, parent.depth + 1, step, &counter, &rows);
   int64_t new_max = counter;
-  OXML_RETURN_NOT_OK(BulkInsert(rows, &stats));
+  OXML_RETURN_NOT_OK(InsertRows(rows, &stats));
 
   if (!have_right) {
     // Extend the interval of the parent and of every ancestor whose

@@ -83,35 +83,11 @@ void ShredLocal(const XmlNode& node, int64_t pid, int64_t sord, int64_t depth,
 
 }  // namespace
 
-Status LocalStore::BulkInsert(const std::vector<Row>& rows,
-                              UpdateStats* stats) {
-  OXML_ASSIGN_OR_RETURN(
-      PreparedStatement ins,
-      db_->Prepare("INSERT INTO " + table_name() + " (" + kCols +
-                   ") VALUES (?, ?, ?, ?, ?, ?, ?)"));
-  OXML_RETURN_NOT_OK(ins.ExecuteBatch(rows).status());
-  if (stats != nullptr) {
-    ++stats->statements;
-    stats->nodes_inserted += static_cast<int64_t>(rows.size());
-  }
-  return Status::OK();
-}
-
-Status LocalStore::DoLoadDocument(const XmlDocument& doc) {
-  std::vector<Row> rows;
-  int64_t sord = 0;
-  for (const auto& top : doc.root()->children()) {
-    sord += options_.gap;
-    ShredLocal(*top, 0, sord, 1, options_.gap, &next_id_, &rows);
-  }
-  return BulkInsert(rows, nullptr);
-}
-
 Status LocalStore::EmitUnitRows(const ShredUnit& u, std::vector<Row>* rows) {
   const int64_t gap = options_.gap;
-  // The serial shredder hands out ids in DFS row order, so the k-th row of
-  // the full stream gets id = next_id_ + k. The allocator itself is left
-  // untouched until OnParallelLoadComplete — workers only read the base.
+  // ShredLocal hands out ids in DFS row order, so the k-th row of the full
+  // stream gets id = next_id_ + k. The allocator itself is left untouched
+  // until OnLoadComplete — workers only read the base.
   const int64_t base = next_id_;
   const int64_t pid =
       u.parent_row_offset < 0 ? 0 : base + u.parent_row_offset;
@@ -617,7 +593,7 @@ Result<UpdateStats> LocalStore::DoInsertSubtree(const StoredNode& ref,
   std::vector<Row> rows;
   ShredLocal(subtree, parent_id, slot, parent_depth + 1, options_.gap,
              &next_id_, &rows);
-  OXML_RETURN_NOT_OK(BulkInsert(rows, &stats));
+  OXML_RETURN_NOT_OK(InsertRows(rows, &stats));
   return stats;
 }
 

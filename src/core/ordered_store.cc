@@ -221,9 +221,25 @@ Result<std::vector<StoredNode>> OrderedXmlStore::Select(
   return out;
 }
 
+Status OrderedXmlStore::InsertRows(const std::vector<Row>& rows,
+                                   UpdateStats* stats) {
+  const char* cols = NodeColumns();
+  std::string sql = "INSERT INTO " + table_name();
+  sql.append(" (").append(cols).append(") VALUES (?");
+  for (const char* c = cols; *c != '\0'; ++c) {
+    if (*c == ',') sql.append(", ?");
+  }
+  sql.push_back(')');
+  OXML_ASSIGN_OR_RETURN(PreparedStatement ins, db_->Prepare(sql));
+  OXML_RETURN_NOT_OK(ins.ExecuteBatch(rows).status());
+  ++stats->statements;  // modeled as one multi-row INSERT
+  stats->nodes_inserted += static_cast<int64_t>(rows.size());
+  return Status::OK();
+}
+
 Status OrderedXmlStore::LoadDocument(const XmlDocument& doc) {
   // No encoding has a unique index that would reject a second document's
-  // rows, so refuse a non-empty store before either path writes anything.
+  // rows, so refuse a non-empty store before anything is written.
   // (A statement text of its own: a plan cached while the table is empty
   // would otherwise serve later statements of the same text.)
   OXML_ASSIGN_OR_RETURN(
@@ -232,17 +248,7 @@ Status OrderedXmlStore::LoadDocument(const XmlDocument& doc) {
     return Status::InvalidArgument("store '" + table_name() +
                                    "' already holds a document");
   }
-  if (db_->options().enable_parallel_load) {
-    return ParallelLoadDocument(doc);
-  }
-  TxnScope txn(db_);
-  OXML_RETURN_NOT_OK(txn.begin_status());
-  OXML_RETURN_NOT_OK(DoLoadDocument(doc));
-  return txn.Commit();
-}
-
-Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
-  ThreadPool* pool = db_->load_pool();
+  ThreadPool* pool = db_->thread_pool();
   // A few units per worker keeps the morsel scheduler busy without
   // shredding the document into confetti.
   const size_t workers = pool != nullptr ? pool->size() + 1 : 1;
@@ -252,7 +258,7 @@ Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
   // Shred phase: pure CPU over the parsed DOM, deliberately outside the
   // exclusive statement latch so a long load does not block concurrent
   // readers of other tables. Per-worker runs come back sorted; the k-way
-  // merge restores the exact serial document-order row stream.
+  // merge restores the document-order row stream.
   uint64_t runs = 0;
   uint64_t threads = 0;
   OXML_ASSIGN_OR_RETURN(
@@ -279,7 +285,7 @@ Status OrderedXmlStore::ParallelLoadDocument(const XmlDocument& doc) {
   stats->rows_shredded += rows.size();
   stats->runs_merged += runs;
   stats->load_threads_used.UpdateMax(threads);
-  OnParallelLoadComplete(rows.size());
+  OnLoadComplete(rows.size());
   return Status::OK();
 }
 

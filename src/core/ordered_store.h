@@ -81,14 +81,13 @@ class OrderedXmlStore {
   /// transaction: a crash mid-load leaves the store empty, never partially
   /// shredded.
   ///
-  /// With DatabaseOptions::enable_parallel_load the document is cut into
-  /// disjoint subtrees (PartitionDocument), shredded into per-worker
-  /// sorted runs on the database's load pool, k-way merged, and installed
-  /// through the bulk path (Database::BulkLoadRows). Order keys are
-  /// assigned deterministically from the partition pre-pass, so the
-  /// resulting table is byte-identical to a serial load; only the shred
-  /// phase runs outside the exclusive statement latch (concurrent readers
-  /// of other tables proceed while the document is being shredded).
+  /// The document is cut into disjoint subtrees (PartitionDocument),
+  /// shredded into sorted runs, k-way merged, and installed through the
+  /// bulk path (Database::BulkLoadRows). Shredding and index builds fan
+  /// out over the execution pool when there is one and run on the calling
+  /// thread otherwise; order keys come from the partition pass, so the
+  /// table is byte-identical either way. Only the install takes the
+  /// exclusive statement latch.
   Status LoadDocument(const XmlDocument& doc);
 
   /// Rebuilds the complete document from the relations.
@@ -233,30 +232,32 @@ class OrderedXmlStore {
   /// wrap them in a TxnScope (template method). When the caller already
   /// opened a transaction, the scope nests flatly and the outer transaction
   /// decides the outcome.
-  virtual Status DoLoadDocument(const XmlDocument& doc) = 0;
   virtual Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                               InsertPosition pos,
                                               const XmlNode& subtree) = 0;
   virtual Result<UpdateStats> DoDeleteSubtree(const StoredNode& node) = 0;
 
-  // ------------------------------------------------------- parallel loading
+  // ---------------------------------------------------------------- loading
 
   /// Shreds one partition into encoded rows (document order within the
-  /// unit), assigning exactly the order keys the serial shredder would
-  /// have. Must not mutate store state: ParallelShredMerge calls it from
-  /// several threads at once on distinct units.
+  /// unit), assigning exactly the order keys a depth-first shred of the
+  /// whole document would. Must not mutate store state:
+  /// ParallelShredMerge calls it from several threads at once on distinct
+  /// units.
   virtual Status EmitUnitRows(const ShredUnit& unit,
                               std::vector<Row>* rows) = 0;
 
   /// How this encoding's first column orders for the k-way merge.
   virtual LoadKeyKind LoadKey() const = 0;
 
-  /// Called once after a successful parallel load with the number of rows
+  /// Called once after a successful load with the number of rows
   /// installed; stores with allocator state advance it here (the Local
   /// encoding's id counter).
-  virtual void OnParallelLoadComplete(uint64_t rows_loaded) {
-    (void)rows_loaded;
-  }
+  virtual void OnLoadComplete(uint64_t rows_loaded) { (void)rows_loaded; }
+
+  /// Inserts `rows`, laid out per NodeColumns(), as one prepared INSERT
+  /// batch, counted into `stats` as one statement.
+  Status InsertRows(const std::vector<Row>& rows, UpdateStats* stats);
 
   /// Runs a SELECT, counting it into `stats` when provided.
   Result<ResultSet> Sql(const std::string& sql, UpdateStats* stats = nullptr);
@@ -282,13 +283,6 @@ class OrderedXmlStore {
                                          std::string_view order,
                                          size_t limit = 0);
 
- private:
-  /// The enable_parallel_load body of LoadDocument: partition + parallel
-  /// shred + merge (no statement latch), then bulk install in one
-  /// transaction.
-  Status ParallelLoadDocument(const XmlDocument& doc);
-
- protected:
   Database* db_;
   OrderEncoding encoding_;
   StoreOptions options_;

@@ -119,7 +119,7 @@ Result<std::vector<Row>> ParallelShredMerge(
   // Each worker claims increasing unit indices from the shared cursor, so
   // the rows it accumulates are strictly increasing in the load key (units
   // are listed in document order, and each unit's rows form a contiguous
-  // slice of the serial key sequence). Sealing at run_bytes boundaries
+  // slice of the document's key sequence). Sealing at run_bytes boundaries
   // preserves that: every pushed run is sorted by construction.
   auto worker = [&](size_t) -> Status {
     std::vector<Row> run;

@@ -21,8 +21,8 @@ class ThreadPool;
 /// "header" unit; the children then appear as later units).
 ///
 /// The fields carry everything a shredder needs to assign the exact order
-/// keys the serial DFS would have assigned, for all three encodings:
-///  - Global: the k-th row of the serial DFS stream (0-based `row_offset`)
+/// keys a depth-first shred of the whole document assigns, for all three:
+///  - Global: the k-th row of the DFS row stream (0-based `row_offset`)
 ///    gets ord = gap * (k + 1); an element's eord is the ord of its last
 ///    subtree row, i.e. gap * (row_offset + subtree_rows); pord is the
 ///    parent's ord, derived from `parent_row_offset`.
@@ -65,13 +65,13 @@ using ShredUnitEmitter =
 enum class LoadKeyKind { kInt, kBlob };
 
 /// The fan-out half of the bulk-load pipeline: workers (the pool's threads
-/// plus the calling thread; serial when `pool` is null) claim units
-/// morsel-style from one shared cursor and shred them with `emit`,
+/// plus the calling thread; the caller alone when `pool` is null) claim
+/// units morsel-style from one shared cursor and shred them with `emit`,
 /// sealing a sorted run whenever the accumulated rows exceed `run_bytes`.
 /// Because each worker claims strictly increasing unit indices and unit
 /// keys increase in document order, every run is sorted by construction;
 /// the final k-way merge by `key_kind` therefore reproduces the exact
-/// serial document-order row stream regardless of scheduling.
+/// document-order row stream regardless of scheduling.
 ///
 /// `runs_out` receives the number of sealed runs fed to the merge and
 /// `threads_out` the number of workers that shredded at least one unit.

@@ -57,8 +57,8 @@ class Translator {
 
     for (size_t i = 0; i < query_.steps.size(); ++i) {
       const XPathStep& step = query_.steps[i];
-      std::string alias = "n" + std::to_string(i + 1);
-      std::string prev = i == 0 ? "" : "n" + std::to_string(i);
+      std::string alias = StrCat({"n", std::to_string(i + 1)});
+      std::string prev = i == 0 ? "" : StrCat({"n", std::to_string(i)});
 
       switch (step.axis) {
         case XPathStep::Axis::kChild:
@@ -106,7 +106,7 @@ class Translator {
       order_aliases_.push_back(alias);
     }
 
-    std::string last = "n" + std::to_string(query_.steps.size());
+    std::string last = StrCat({"n", std::to_string(query_.steps.size())});
     std::string sql = "SELECT DISTINCT " + QualifiedColumns(last) + " FROM " +
                       Join(from_, ", ");
     if (!where_.empty()) sql += " WHERE " + Join(where_, " AND ");
@@ -298,7 +298,9 @@ class Translator {
     return Status::Internal("bad predicate");
   }
 
-  std::string NextPredAlias() { return "p" + std::to_string(++pred_count_); }
+  std::string NextPredAlias() {
+    return StrCat({"p", std::to_string(++pred_count_)});
+  }
 
   const OrderedXmlStore& store_;
   const XPathQuery& query_;

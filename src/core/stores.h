@@ -96,7 +96,6 @@ class GlobalStore : public StoreBase {
                             Row* params) const override;
 
  protected:
-  Status DoLoadDocument(const XmlDocument& doc) override;
   Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                       InsertPosition pos,
                                       const XmlNode& subtree) override;
@@ -109,9 +108,7 @@ class GlobalStore : public StoreBase {
   /// Shreds `node` assigning ordinals spaced by `step` starting after
   /// `*counter`; returns rows appended to `rows`.
   void ShredInto(const XmlNode& node, int64_t pord, int64_t depth,
-                 int64_t step, int64_t* counter, std::vector<Row>* rows,
-                 int64_t* subtree_max);
-  Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);
+                 int64_t step, int64_t* counter, std::vector<Row>* rows);
 };
 
 /// Local order encoding: every node carries a surrogate id, its parent's id
@@ -162,22 +159,20 @@ class LocalStore : public StoreBase {
                             Row* params) const override;
 
  protected:
-  Status DoLoadDocument(const XmlDocument& doc) override;
   Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                       InsertPosition pos,
                                       const XmlNode& subtree) override;
   Result<UpdateStats> DoDeleteSubtree(const StoredNode& node) override;
   Status EmitUnitRows(const ShredUnit& unit, std::vector<Row>* rows) override;
   LoadKeyKind LoadKey() const override { return LoadKeyKind::kInt; }
-  /// Ids were assigned as next_id_ + row_offset during the parallel shred
-  /// without touching the allocator; advance it now that the rows are in.
-  void OnParallelLoadComplete(uint64_t rows_loaded) override {
+  /// Ids were assigned as next_id_ + row_offset during the shred without
+  /// touching the allocator; advance it now that the rows are in.
+  void OnLoadComplete(uint64_t rows_loaded) override {
     next_id_ += static_cast<int64_t>(rows_loaded);
   }
 
  private:
   Result<StoredNode> SelectOne(const std::string& where, Row params);
-  Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);
   /// ReconstructSubtree over a node it may take the strings of: one
   /// `pid = ?` statement per element returns its attributes and then its
   /// children, since every attribute's sord precedes the first child's
@@ -240,7 +235,6 @@ class DeweyStore : public StoreBase {
                             Row* params) const override;
 
  protected:
-  Status DoLoadDocument(const XmlDocument& doc) override;
   Result<UpdateStats> DoInsertSubtree(const StoredNode& ref,
                                       InsertPosition pos,
                                       const XmlNode& subtree) override;
@@ -252,7 +246,6 @@ class DeweyStore : public StoreBase {
   Result<StoredNode> SelectOne(const std::string& where, Row params);
   void ShredInto(const XmlNode& node, const DeweyKey& key,
                  std::vector<Row>* rows);
-  Status BulkInsert(const std::vector<Row>& rows, UpdateStats* stats);
 };
 
 }  // namespace oxml

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <limits>
 
+#include "src/common/strings.h"
+
 namespace oxml {
 
 const char* XPathCmpToString(XPathCmp op) {
@@ -26,7 +28,9 @@ const char* XPathCmpToString(XPathCmp op) {
 std::string XPathPredicate::ToString() const {
   switch (kind) {
     case Kind::kPosition:
-      if (op == XPathCmp::kEq) return "[" + std::to_string(position) + "]";
+      if (op == XPathCmp::kEq) {
+        return StrCat({"[", std::to_string(position), "]"});
+      }
       return std::string("[position() ") + XPathCmpToString(op) + " " +
              std::to_string(position) + "]";
     case Kind::kLast:
@@ -115,6 +119,10 @@ class XPathParser {
         sep_axis = XPathStep::Axis::kChild;
       } else {
         return Error("expected '/' between steps");
+      }
+      if (query.steps.size() == kMaxXPathSteps) {
+        return Error(StrCat({"more than ", std::to_string(kMaxXPathSteps),
+                             " steps"}));
       }
       OXML_ASSIGN_OR_RETURN(XPathStep step, ParseStep(sep_axis));
       query.steps.push_back(std::move(step));

@@ -71,6 +71,10 @@ struct XPathQuery {
   std::string ToString() const;
 };
 
+/// Most location steps a path may have: the grammar does not recurse, but
+/// the SQL translator nests one more join per step.
+inline constexpr size_t kMaxXPathSteps = 256;
+
 /// Parses the XPath subset:
 ///
 ///   path   := ('/' | '//') step (('/' | '//') step)*
@@ -80,6 +84,7 @@ struct XPathQuery {
 ///   nodetest := NAME | '*' | 'text()' | '@' NAME
 ///   pred   := '[' INT | 'last()' | 'position()' cmp INT
 ///             | ('@' NAME | NAME | '.') cmp ('literal' | NUMBER) ']'
+/// with at most kMaxXPathSteps steps.
 Result<XPathQuery> ParseXPath(std::string_view input);
 
 }  // namespace oxml

@@ -103,7 +103,7 @@ struct ExecStats {
   StatCounter morsels = 0;
   StatCounter parallel_joins = 0;
 
-  // Parallel bulk load (see DatabaseOptions::enable_parallel_load):
+  // Document loading (OrderedXmlStore::LoadDocument):
   // `rows_shredded` counts rows produced by the partition/shred phase,
   // `runs_merged` counts the per-worker sorted runs fed to the k-way
   // merge, and `load_threads_used` is the high-water worker count that

@@ -229,9 +229,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   if (options.enable_parallel_execution) {
     db->exec_pool_ = std::make_unique<ThreadPool>(options.num_threads);
   }
-  if (options.enable_parallel_load) {
-    db->load_pool_ = std::make_unique<ThreadPool>(options.num_load_threads);
-  }
   db->wal_ = std::move(wal);
   db->pool_->SetWal(db->wal_.get());
   if (options.open_existing && have_pages) {
@@ -803,7 +800,7 @@ Result<int64_t> Database::BulkLoadRows(const std::string& table,
         }
         return Status::OK();
       }
-      return t->BulkLoadRows(rows, load_pool_.get(), &stats_);
+      return t->BulkLoadRows(rows, exec_pool_.get(), &stats_);
     };
     if (pool_->InTxn()) {
       OXML_RETURN_NOT_OK(load());

@@ -59,9 +59,10 @@ struct DatabaseOptions {
 
   // ------------------------------------------------------------- parallelism
 
-  /// Give the planner a thread pool: large scans plan as ParallelScanOp,
-  /// and StructuralJoinOp runs its independent interval groups on the
-  /// pool instead of inline. Off by default: intra-query parallelism only
+  /// Give the database a thread pool: large scans plan as ParallelScanOp,
+  /// StructuralJoinOp runs its independent interval groups on the pool
+  /// instead of inline, and OrderedXmlStore::LoadDocument shreds and
+  /// builds indexes on it. Off by default: intra-query parallelism only
   /// pays off on large inputs, and serial plans keep EXPLAIN output and
   /// operator-level tests deterministic. Inter-query concurrency — many
   /// threads calling Query() at once — is always available and does not
@@ -76,22 +77,13 @@ struct DatabaseOptions {
   /// Tests set 0 to force fan-out on small fixtures.
   size_t parallel_scan_min_rows = 256;
 
-  // -------------------------------------------------------- parallel loading
+  // -------------------------------------------------------- document loading
 
-  /// Let OrderedXmlStore::LoadDocument shred documents in parallel: the
-  /// parsed tree is partitioned into disjoint subtrees, each partition is
-  /// shredded on a load-pool worker into per-worker sorted runs (order keys
-  /// assigned deterministically from a pre-pass), and the runs are k-way
-  /// merged and installed through the bulk path (HeapTable::AppendBatch +
-  /// BPlusTree::BulkBuild). Output is byte-identical to the serial path.
-  /// Off by default for the same reason as enable_parallel_execution.
-  bool enable_parallel_load = false;
-  /// Worker threads in the load pool (0 = hardware_concurrency). Only
-  /// consulted when enable_parallel_load is set.
-  size_t num_load_threads = 0;
-  /// Approximate size at which a worker seals its current sorted run and
-  /// starts a new one. Smaller values exercise the k-way merge harder;
-  /// mostly a testing knob.
+  /// OrderedXmlStore::LoadDocument shreds a document into per-worker
+  /// sorted runs (on the execution pool when there is one, inline
+  /// otherwise); a worker seals its current run and starts a new one at
+  /// about this many bytes. Smaller values exercise the k-way merge
+  /// harder; mostly a testing knob.
   size_t load_run_bytes = 1u << 20;
 
   // --------------------------------------------------------------- MVCC
@@ -497,7 +489,7 @@ class Database {
   /// Returns the table or nullptr.
   TableInfo* GetTable(const std::string& name) const;
 
-  /// Direct row insertion (bypasses SQL, used by the bulk shredder).
+  /// Direct row insertion (bypasses SQL).
   Result<Rid> Insert(const std::string& table, const Row& row);
 
   /// Appends `rows` to `table` through the bulk path (tail-extended heap +
@@ -590,12 +582,10 @@ class Database {
   /// DatabaseOptions::total_memory_budget_bytes); exposed for tests.
   MemoryBudget* global_memory_budget() { return &global_budget_; }
   BufferPool* buffer_pool() { return pool_.get(); }
-  /// The intra-query execution pool, or null when parallel execution is
-  /// disabled (the planner then never emits parallel operators).
+  /// The execution pool, or null when parallel execution is disabled (the
+  /// planner then never emits parallel operators, and document loads and
+  /// bulk index builds run on the calling thread).
   ThreadPool* thread_pool() const { return exec_pool_.get(); }
-  /// The bulk-load pool, or null when parallel loading is disabled (the
-  /// stores then shred serially).
-  ThreadPool* load_pool() const { return load_pool_.get(); }
   /// The database-wide statement latch (tests use it to assert the
   /// reader/writer discipline; normal clients never touch it).
   StatementLatch* statement_latch() { return &latch_; }
@@ -722,10 +712,9 @@ class Database {
   /// Guards txn_open_ transitions; pairs with txn_cv_ for the write gate.
   std::mutex txn_mu_;
   std::condition_variable txn_cv_;
-  /// Intra-query workers, created at Open when enable_parallel_execution.
+  /// Intra-query and bulk-load workers, created at Open when
+  /// enable_parallel_execution.
   std::unique_ptr<ThreadPool> exec_pool_;
-  /// Bulk-load workers, created at Open when enable_parallel_load.
-  std::unique_ptr<ThreadPool> load_pool_;
 
   // Statement governance (docs/INTERNALS.md §12). The registry maps the
   // ids handed out through StatementOptions::statement_id to the live

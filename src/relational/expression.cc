@@ -210,8 +210,8 @@ Result<Value> BinaryExpr::Eval(const Row& row) const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + left_->ToString() + " " + BinaryOpToString(op_) + " " +
-         right_->ToString() + ")";
+  return StrCat({"(", left_->ToString(), " ", BinaryOpToString(op_), " ",
+                 right_->ToString(), ")"});
 }
 
 Result<Value> UnaryExpr::Eval(const Row& row) const {
@@ -236,13 +236,13 @@ Result<Value> UnaryExpr::Eval(const Row& row) const {
 std::string UnaryExpr::ToString() const {
   switch (op_) {
     case UnaryOp::kNot:
-      return "(NOT " + operand_->ToString() + ")";
+      return StrCat({"(NOT ", operand_->ToString(), ")"});
     case UnaryOp::kNeg:
-      return "(-" + operand_->ToString() + ")";
+      return StrCat({"(-", operand_->ToString(), ")"});
     case UnaryOp::kIsNull:
-      return "(" + operand_->ToString() + " IS NULL)";
+      return StrCat({"(", operand_->ToString(), " IS NULL)"});
     case UnaryOp::kIsNotNull:
-      return "(" + operand_->ToString() + " IS NOT NULL)";
+      return StrCat({"(", operand_->ToString(), " IS NOT NULL)"});
   }
   return "?";
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/common/strings.h"
 #include "src/relational/schema.h"
 #include "src/relational/value.h"
 
@@ -111,7 +112,7 @@ class ParamExpr : public Expr {
     return (*params_)[index_];
   }
   std::string ToString() const override {
-    return "?" + std::to_string(index_ + 1);
+    return StrCat({"?", std::to_string(index_ + 1)});
   }
   void CollectColumns(std::vector<int>*) const override {}
 

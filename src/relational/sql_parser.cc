@@ -292,7 +292,21 @@ class Parser {
 
   // ------------------------------------------------------------ expressions
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  /// Runs `parse` one nesting level deeper. Every recursion of the
+  /// expression grammar (parentheses, function arguments, NOT, unary minus)
+  /// goes through here, so the stack and the tree depth stay bounded.
+  Result<ExprPtr> Deeper(Result<ExprPtr> (Parser::*parse)()) {
+    if (depth_ == kMaxSqlNesting) {
+      return Error(StrCat({"expression nested deeper than ",
+                           std::to_string(kMaxSqlNesting), " levels"}));
+    }
+    ++depth_;
+    Result<ExprPtr> e = (this->*parse)();
+    --depth_;
+    return e;
+  }
+
+  Result<ExprPtr> ParseExpr() { return Deeper(&Parser::ParseOr); }
 
   Result<ExprPtr> ParseOr() {
     OXML_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
@@ -316,7 +330,7 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (MatchKeyword("NOT")) {
-      OXML_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      OXML_ASSIGN_OR_RETURN(ExprPtr operand, Deeper(&Parser::ParseNot));
       return ExprPtr(
           std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(operand)));
     }
@@ -475,7 +489,7 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (MatchSymbol("-")) {
-      OXML_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      OXML_ASSIGN_OR_RETURN(ExprPtr operand, Deeper(&Parser::ParseUnary));
       // Minus over a numeric literal folds into the literal, so `a = -5`
       // is a sargable comparison with a constant like `a = 5`.
       if (operand->kind() == Expr::Kind::kLiteral) {
@@ -573,6 +587,7 @@ class Parser {
   size_t pos_ = 0;
   std::shared_ptr<Row> params_;  // null: '?' markers rejected
   size_t param_count_ = 0;
+  size_t depth_ = 0;  // expression nesting (see Deeper)
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #ifndef OXML_RELATIONAL_SQL_PARSER_H_
 #define OXML_RELATIONAL_SQL_PARSER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 
@@ -8,6 +9,10 @@
 #include "src/relational/sql_ast.h"
 
 namespace oxml {
+
+/// Deepest expression nesting (parentheses, function arguments, NOT, unary
+/// minus) the parser accepts; deeper client SQL is a ParseError.
+inline constexpr size_t kMaxSqlNesting = 256;
 
 /// Parses a single SQL statement (optionally terminated by ';').
 /// Supported subset:

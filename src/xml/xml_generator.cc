@@ -3,6 +3,7 @@
 #include <string>
 
 #include "src/common/random.h"
+#include "src/common/strings.h"
 
 namespace oxml {
 namespace {
@@ -43,14 +44,15 @@ class Generator {
 
  private:
   std::string RandomTag() {
-    return "tag" + std::to_string(rng_.Uniform(0, options_.tag_vocabulary - 1));
+    return StrCat(
+        {"tag", std::to_string(rng_.Uniform(0, options_.tag_vocabulary - 1))});
   }
 
   void Expand(XmlNode* parent, int depth) {
     XmlNode* element = parent->AppendChild(XmlNode::Element(RandomTag()));
     ++nodes_made_;
     if (rng_.Chance(options_.attribute_probability)) {
-      element->SetAttribute("id", "n" + std::to_string(next_id_++));
+      element->SetAttribute("id", StrCat({"n", std::to_string(next_id_++)}));
       ++nodes_made_;
     }
     if (depth >= options_.max_depth || nodes_made_ >= options_.target_nodes) {
@@ -97,15 +99,15 @@ std::unique_ptr<XmlDocument> GenerateNewsXml(
   XmlNode* title = head->AppendChild(XmlNode::Element("title"));
   title->AppendChild(XmlNode::Text(RandomSentence(&rng, 4)));
   XmlNode* dateline = head->AppendChild(XmlNode::Element("dateline"));
-  dateline->AppendChild(XmlNode::Text("2002-06-0" +
-                                      std::to_string(rng.Uniform(1, 9))));
+  dateline->AppendChild(
+      XmlNode::Text(StrCat({"2002-06-0", std::to_string(rng.Uniform(1, 9))})));
   XmlNode* byline = head->AppendChild(XmlNode::Element("byline"));
   byline->AppendChild(XmlNode::Text(RandomSentence(&rng, 2)));
 
   XmlNode* body = nitf->AppendChild(XmlNode::Element("body"));
   for (int s = 0; s < opts.sections; ++s) {
     XmlNode* section = body->AppendChild(XmlNode::Element("section"));
-    section->SetAttribute("id", "s" + std::to_string(s + 1));
+    section->SetAttribute("id", StrCat({"s", std::to_string(s + 1)}));
     XmlNode* st = section->AppendChild(XmlNode::Element("title"));
     st->AppendChild(XmlNode::Text(RandomSentence(&rng, 3)));
     for (int p = 0; p < opts.paragraphs_per_section; ++p) {
@@ -131,7 +133,7 @@ std::unique_ptr<XmlDocument> GenerateAuctionXml(
     XmlNode* region = regions->AppendChild(XmlNode::Element(region_name));
     for (int i = 0; i < opts.items_per_region; ++i) {
       XmlNode* item = region->AppendChild(XmlNode::Element("item"));
-      item->SetAttribute("id", "item" + std::to_string(item_id++));
+      item->SetAttribute("id", StrCat({"item", std::to_string(item_id++)}));
       XmlNode* name = item->AppendChild(XmlNode::Element("name"));
       name->AppendChild(XmlNode::Text(RandomSentence(&rng, 2)));
       XmlNode* description =
@@ -153,7 +155,7 @@ std::unique_ptr<XmlDocument> GenerateAuctionXml(
   XmlNode* auctions = site->AppendChild(XmlNode::Element("open_auctions"));
   for (int a = 0; a < opts.open_auctions; ++a) {
     XmlNode* auction = auctions->AppendChild(XmlNode::Element("open_auction"));
-    auction->SetAttribute("id", "auction" + std::to_string(a));
+    auction->SetAttribute("id", StrCat({"auction", std::to_string(a)}));
     XmlNode* initial = auction->AppendChild(XmlNode::Element("initial"));
     double price = static_cast<double>(rng.Uniform(1, 100));
     initial->AppendChild(XmlNode::Text(std::to_string(price)));
@@ -161,11 +163,10 @@ std::unique_ptr<XmlDocument> GenerateAuctionXml(
       XmlNode* bidder = auction->AppendChild(XmlNode::Element("bidder"));
       XmlNode* date = bidder->AppendChild(XmlNode::Element("date"));
       date->AppendChild(XmlNode::Text(
-          "2002-06-" + std::to_string(10 + b)));
+          StrCat({"2002-06-", std::to_string(10 + b)})));
       XmlNode* ref = bidder->AppendChild(XmlNode::Element("personref"));
-      ref->SetAttribute(
-          "person", "person" + std::to_string(rng.Uniform(
-                                   0, opts.people > 0 ? opts.people - 1 : 0)));
+      int64_t person = rng.Uniform(0, opts.people > 0 ? opts.people - 1 : 0);
+      ref->SetAttribute("person", StrCat({"person", std::to_string(person)}));
       XmlNode* increase = bidder->AppendChild(XmlNode::Element("increase"));
       price += static_cast<double>(rng.Uniform(1, 20));
       increase->AppendChild(XmlNode::Text(std::to_string(price)));
@@ -178,7 +179,7 @@ std::unique_ptr<XmlDocument> GenerateAuctionXml(
   XmlNode* people = site->AppendChild(XmlNode::Element("people"));
   for (int p = 0; p < opts.people; ++p) {
     XmlNode* person = people->AppendChild(XmlNode::Element("person"));
-    person->SetAttribute("id", "person" + std::to_string(p));
+    person->SetAttribute("id", StrCat({"person", std::to_string(p)}));
     XmlNode* name = person->AppendChild(XmlNode::Element("name"));
     name->AppendChild(XmlNode::Text(RandomSentence(&rng, 2)));
     XmlNode* email = person->AppendChild(XmlNode::Element("emailaddress"));
@@ -205,7 +206,8 @@ std::unique_ptr<XmlDocument> GenerateDeepXml(size_t depth, uint64_t seed) {
   XmlNode* cur = doc->root()->AppendChild(XmlNode::Element("level0"));
   for (size_t d = 1; d < depth; ++d) {
     cur->AppendChild(XmlNode::Text(RandomSentence(&rng, 1)));
-    cur = cur->AppendChild(XmlNode::Element("level" + std::to_string(d)));
+    cur = cur->AppendChild(
+        XmlNode::Element(StrCat({"level", std::to_string(d)})));
   }
   cur->AppendChild(XmlNode::Text("leaf"));
   return doc;

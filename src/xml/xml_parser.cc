@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "src/common/strings.h"
+
 namespace oxml {
 namespace {
 
@@ -39,7 +41,7 @@ class Parser {
     if (AtEnd() || Peek() != '<') {
       return Error("expected root element");
     }
-    OXML_RETURN_NOT_OK(ParseElement(doc->root()));
+    OXML_RETURN_NOT_OK(ParseElement(doc->root(), 1));
     // Trailing misc.
     while (!AtEnd()) {
       SkipWhitespace();
@@ -243,9 +245,13 @@ class Parser {
     return value;
   }
 
-  /// Parses one element (the '<' has not been consumed) and appends it to
-  /// `parent`.
-  Status ParseElement(XmlNode* parent) {
+  /// Parses one element (the '<' has not been consumed) at nesting level
+  /// `depth` (the root element is 1) and appends it to `parent`.
+  Status ParseElement(XmlNode* parent, size_t depth) {
+    if (depth > kMaxXmlDepth) {
+      return Error(StrCat({"elements nested deeper than ",
+                           std::to_string(kMaxXmlDepth), " levels"}));
+    }
     if (!Match("<")) return Error("expected '<'");
     OXML_ASSIGN_OR_RETURN(std::string tag, ParseName());
     XmlNode* element = parent->AppendChild(XmlNode::Element(std::move(tag)));
@@ -268,7 +274,7 @@ class Parser {
     }
 
     // Content.
-    OXML_RETURN_NOT_OK(ParseContent(element));
+    OXML_RETURN_NOT_OK(ParseContent(element, depth));
 
     // End tag: ParseContent stops right after "</".
     OXML_ASSIGN_OR_RETURN(std::string end_tag, ParseName());
@@ -281,7 +287,7 @@ class Parser {
     return Status::OK();
   }
 
-  Status ParseContent(XmlNode* element) {
+  Status ParseContent(XmlNode* element, size_t depth) {
     std::string text;
     auto flush_text = [&]() {
       if (text.empty()) return;
@@ -316,7 +322,7 @@ class Parser {
           continue;
         }
         flush_text();
-        OXML_RETURN_NOT_OK(ParseElement(element));
+        OXML_RETURN_NOT_OK(ParseElement(element, depth + 1));
         continue;
       }
       if (Peek() == '&') {

@@ -1,6 +1,7 @@
 #ifndef OXML_XML_XML_PARSER_H_
 #define OXML_XML_XML_PARSER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 
@@ -20,10 +21,15 @@ struct XmlParseOptions {
   bool keep_processing_instructions = true;
 };
 
+/// Deepest element nesting ParseXml accepts. The parser, the shredders,
+/// reconstruction, WriteXml and DOM teardown recurse once per level.
+inline constexpr size_t kMaxXmlDepth = 2048;
+
 /// Parses an XML 1.0 subset: prolog, elements, attributes, character data,
 /// CDATA sections, comments, processing instructions, the five predefined
 /// entities and numeric character references. DTDs are skipped (not
-/// validated). Returns a ParseError status with line/column on bad input.
+/// validated). Returns a ParseError status with line/column on bad input,
+/// and for elements nested deeper than kMaxXmlDepth.
 Result<std::unique_ptr<XmlDocument>> ParseXml(
     std::string_view input, const XmlParseOptions& options = {});
 

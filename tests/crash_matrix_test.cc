@@ -608,10 +608,12 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, CrashMatrixTest,
                            return OrderEncodingToString(info.param);
                          });
 
-// Regression: ParallelLoadDocument publishes rows_shredded / runs_merged /
+// Regression: LoadDocument publishes rows_shredded / runs_merged /
 // load_threads_used only after the install transaction commits. A load
 // whose install fails (any write-class I/O, EIO) must leave every load
-// counter untouched; the retry then loads and publishes normally.
+// counter untouched; the retry then loads and publishes normally. The
+// database has an execution pool, so the shred and the index builds fan
+// out over it.
 TEST(ParallelLoadFaultTest, LoadStatsPublishOnlyAfterInstallCommit) {
   NewsGeneratorOptions gen;
   gen.seed = 7;
@@ -624,7 +626,8 @@ TEST(ParallelLoadFaultTest, LoadStatsPublishOnlyAfterInstallCommit) {
     DatabaseOptions o;
     o.file_path = path;
     o.wal_checkpoint_threshold_bytes = 0;  // deterministic I/O schedule
-    o.enable_parallel_load = true;
+    o.enable_parallel_execution = true;
+    o.num_threads = 2;
     o.fault_plan = std::move(plan);
     return o;
   };

@@ -427,9 +427,9 @@ FuzzCase GenerateCase(uint64_t seed, size_t num_ops) {
   // recovery and the no-steal buffer pool see the same op distribution the
   // memory-resident path does.
   c.durable = rng.Chance(0.25);
-  // A third of all cases load through the parallel bulk pipeline, with a
-  // worker count drawn wide enough to cover both the degenerate 1-thread
-  // fan-out and real contention.
+  // A third of all cases run with an execution pool, so loads fan out over
+  // it, with a worker count drawn wide enough to cover both the degenerate
+  // 1-thread fan-out and real contention.
   if (rng.Chance(0.33)) {
     c.load_threads = static_cast<size_t>(rng.Uniform(1, 4));
   }
@@ -829,8 +829,8 @@ std::optional<FuzzFailure> RunCase(FuzzCase* c) {
     stores[e].dbopts = c->toggles[e].ToDatabaseOptions();
     stores[e].dbopts.default_statement_timeout_ms = c->timeout_ms;
     if (c->load_threads > 0) {
-      stores[e].dbopts.enable_parallel_load = true;
-      stores[e].dbopts.num_load_threads = c->load_threads;
+      stores[e].dbopts.enable_parallel_execution = true;
+      stores[e].dbopts.num_threads = c->load_threads;
       // Tiny runs force multi-run merges even on the fuzzer's small docs.
       stores[e].dbopts.load_run_bytes = 1024;
     }
@@ -1015,9 +1015,9 @@ std::optional<FuzzFailure> RunCase(FuzzCase* c) {
     }
 
     if (op.kind == FuzzOp::Kind::kBulkReload) {
-      // Reload the oracle's current document through the parallel
-      // bulk-load pipeline into a fresh database, verify the reload, and
-      // swap it in for the rest of the op stream. This exercises the
+      // Reload the oracle's current document through the load pipeline
+      // into a fresh database, verify the reload, and swap it in for the
+      // rest of the op stream. This exercises the
       // partition/shred/merge path against documents shaped by arbitrary
       // prior mutations, not just generator output. The tree is cloned
       // rather than serialized+reparsed: mutations can leave adjacent
@@ -1034,8 +1034,6 @@ std::optional<FuzzFailure> RunCase(FuzzCase* c) {
           return FuzzFailure{i, s.name, op.ToString() + ": " + msg};
         };
         DatabaseOptions ropts = s.dbopts;
-        ropts.enable_parallel_load = true;
-        if (ropts.num_load_threads == 0) ropts.num_load_threads = 2;
         ropts.load_run_bytes = 1024;
         ropts.open_existing = false;
         if (c->durable) {
@@ -1052,15 +1050,15 @@ std::optional<FuzzFailure> RunCase(FuzzCase* c) {
           return fail("create: " + store.status().ToString());
         }
         Status load = (*store)->LoadDocument(snapshot);
-        if (!load.ok()) return fail("parallel load: " + load.ToString());
+        if (!load.ok()) return fail("bulk reload: " + load.ToString());
         Status valid = (*store)->Validate();
         if (!valid.ok()) {
-          return fail("invariant violation after parallel load: " +
+          return fail("invariant violation after bulk reload: " +
                       valid.ToString());
         }
         auto rec = (*store)->ReconstructDocument();
         if (!rec.ok()) {
-          return fail("reconstruction after parallel load: " +
+          return fail("reconstruction after bulk reload: " +
                       rec.status().ToString());
         }
         std::string got = WriteXml(**rec);

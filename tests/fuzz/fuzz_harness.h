@@ -101,10 +101,12 @@ struct FuzzCase {
   /// checks that concurrent readers under the database's shared statement
   /// latch still match the DOM oracle exactly.
   size_t query_threads = 1;
-  /// When > 0, every database runs with enable_parallel_load and this many
-  /// load workers, so the initial document load and every kBulkReload go
-  /// through the parallel shred/merge/bulk-build pipeline instead of the
-  /// serial per-row path. Serialized as the `load_threads N` directive.
+  /// When > 0, every database runs with an execution pool of this many
+  /// workers (enable_parallel_execution) and tiny sorted runs, so the
+  /// initial document load and every kBulkReload fan out over the pool
+  /// and k-way merge many runs, and large scans plan in parallel. 0 = no
+  /// pool: loads run inline on the calling thread. Serialized as the
+  /// `load_threads N` directive.
   size_t load_threads = 0;
   /// When > 0, every database runs with this default statement deadline
   /// (DatabaseOptions::default_statement_timeout_ms), exercising the

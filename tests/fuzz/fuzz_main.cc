@@ -14,8 +14,8 @@
 // client threads (concurrent readers under the shared statement latch)
 // instead of serially; divergence from the DOM oracle is then a
 // concurrency bug. Mutations always stay serial.
-// --load_threads forces every case through the parallel bulk-load pipeline
-// with N shred workers (the generator otherwise picks ~33% of cases).
+// --load_threads gives every case an execution pool of N workers, so loads
+// fan out over it (the generator otherwise picks ~33% of cases).
 // --sessions additionally routes every query through N OXWP protocol
 // clients against a loopback oxml_server per encoding, checking the full
 // wire path (handshake, admission, result framing) against the oracle.

@@ -1,14 +1,16 @@
-// Parallel bulk loading: parallel-vs-serial differential on all three
-// encodings (byte-identical heap contents and QR1-QR8 results at 1/2/4/8
-// load threads), bulk-built B+tree invariant checks (leaf fill, key
-// order, split-key boundaries via CheckStructure), HeapTable::AppendBatch
-// tail-page caching, and reader liveness while a parallel load's shred
-// phase runs (LoadConcurrencyTest doubles as TSan workload — the
-// "Concurrency" suite-name substring keeps it in the CI TSan regex).
+// Document loading: inline-vs-pool differential on all three encodings
+// (byte-identical heap contents at 1/2/4/8 execution-pool threads and with
+// many small runs, QR1-QR7 against the DOM oracle), an install
+// differential against per-row INSERTs, bulk-built B+tree invariant checks
+// (leaf fill, key order, split-key boundaries via CheckStructure),
+// HeapTable::AppendBatch tail-page caching, and reader liveness while a
+// load's shred phase runs (LoadConcurrencyTest doubles as TSan workload —
+// the "Concurrency" suite-name substring keeps it in the CI TSan regex).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "src/core/parallel_shred.h"
+#include "src/core/xpath.h"
 #include "src/core/xpath_eval.h"
 #include "src/relational/btree.h"
 #include "src/relational/database.h"
@@ -23,6 +26,7 @@
 #include "src/xml/xml_generator.h"
 #include "src/xml/xml_parser.h"
 #include "src/xml/xml_writer.h"
+#include "tests/fuzz/dom_oracle.h"
 
 namespace oxml {
 namespace {
@@ -42,13 +46,18 @@ std::unique_ptr<XmlDocument> NewsDoc() {
   return GenerateNewsXml(gen);
 }
 
-LoadedStore LoadNews(OrderEncoding enc, bool parallel_load,
-                     size_t load_threads = 4,
-                     size_t run_bytes = 1u << 20) {
+/// A database whose LoadDocument runs on an execution pool of
+/// `pool_threads` workers, or inline on the caller for 0.
+DatabaseOptions LoadOptions(size_t pool_threads,
+                            size_t run_bytes = 1u << 20) {
   DatabaseOptions opts;
-  opts.enable_parallel_load = parallel_load;
-  opts.num_load_threads = load_threads;
+  opts.enable_parallel_execution = pool_threads > 0;
+  opts.num_threads = pool_threads;
   opts.load_run_bytes = run_bytes;
+  return opts;
+}
+
+LoadedStore OpenStore(OrderEncoding enc, const DatabaseOptions& opts) {
   LoadedStore out;
   auto db = Database::Open(opts);
   EXPECT_TRUE(db.ok()) << db.status();
@@ -56,15 +65,22 @@ LoadedStore LoadNews(OrderEncoding enc, bool parallel_load,
   auto store = OrderedXmlStore::Create(out.db.get(), enc, StoreOptions{});
   EXPECT_TRUE(store.ok()) << store.status();
   out.store = std::move(store).value();
+  return out;
+}
+
+LoadedStore LoadNews(OrderEncoding enc, size_t pool_threads,
+                     size_t run_bytes = 1u << 20) {
+  LoadedStore out = OpenStore(enc, LoadOptions(pool_threads, run_bytes));
   auto doc = NewsDoc();
-  EXPECT_TRUE(out.store->LoadDocument(*doc).ok());
+  Status st = out.store->LoadDocument(*doc);
+  EXPECT_TRUE(st.ok()) << st;
   return out;
 }
 
 /// Every live heap row of `table` in page-chain (= insertion) order,
-/// encoded to its exact storage bytes. Comparing these streams proves the
-/// parallel load produced the same rows in the same physical order as the
-/// serial load — strictly stronger than comparing query results.
+/// encoded to its exact storage bytes. Comparing these streams proves two
+/// loads produced the same rows in the same physical order — strictly
+/// stronger than comparing query results.
 std::vector<std::string> HeapRowBytes(Database* db,
                                       const std::string& table) {
   std::vector<std::string> out;
@@ -83,11 +99,45 @@ std::vector<std::string> HeapRowBytes(Database* db,
   return out;
 }
 
+/// Every index of `table` by name, as its (key, rid) entries in tree
+/// order.
+std::map<std::string, std::vector<BPlusTree::Entry>> IndexEntries(
+    Database* db, const std::string& table) {
+  std::map<std::string, std::vector<BPlusTree::Entry>> out;
+  TableInfo* t = db->GetTable(table);
+  EXPECT_NE(t, nullptr);
+  if (t == nullptr) return out;
+  for (const auto& idx : t->indexes()) {
+    std::vector<BPlusTree::Entry>& entries = out[idx->name];
+    for (auto it = idx->tree.Begin(); it.valid(); it.Next()) {
+      entries.emplace_back(it.key(), it.rid());
+    }
+  }
+  return out;
+}
+
 std::vector<std::string> Identities(OrderEncoding enc,
                                     const std::vector<StoredNode>& nodes) {
   std::vector<std::string> out;
   out.reserve(nodes.size());
   for (const StoredNode& n : nodes) out.push_back(NodeIdentity(enc, n));
+  return out;
+}
+
+/// The DOM oracle's signature format: a serialized subtree, or
+/// @name=value for an attribute.
+std::vector<std::string> Signatures(OrderedXmlStore* store,
+                                    const std::vector<StoredNode>& nodes) {
+  std::vector<std::string> out;
+  for (const StoredNode& n : nodes) {
+    if (n.kind == XmlNodeKind::kAttribute) {
+      out.push_back("@" + n.tag + "=" + n.value);
+      continue;
+    }
+    auto subtree = store->ReconstructSubtree(n);
+    EXPECT_TRUE(subtree.ok()) << subtree.status();
+    out.push_back(subtree.ok() ? WriteXml(**subtree) : "");
+  }
   return out;
 }
 
@@ -101,23 +151,26 @@ const char* const kQueries[] = {
     "/nitf/body/section[position() >= 5]/title",         // QR7
 };
 
-// --------------------------------------- parallel-vs-serial differential
+// ---------------------------------------------- inline-vs-pool differential
 
 class ParallelLoadDifferentialTest
     : public ::testing::TestWithParam<OrderEncoding> {};
 
-// The acceptance bar of the pipeline: at every thread count the parallel
-// load must leave the heap byte-identical (same rows, same physical
-// order) to the serial load, because order keys are pre-assigned from the
-// partition pass and the k-way merge restores serial document order.
+// The acceptance bar of the pipeline: at every pool size the load must
+// leave the heap byte-identical (same rows, same physical order) to an
+// inline load, because order keys are pre-assigned from the partition
+// pass and the k-way merge restores document order.
 TEST_P(ParallelLoadDifferentialTest, ByteIdenticalAtEveryThreadCount) {
   OrderEncoding enc = GetParam();
-  LoadedStore serial = LoadNews(enc, /*parallel_load=*/false);
-  std::vector<std::string> want = HeapRowBytes(serial.db.get(), "nodes");
+  LoadedStore inline_load = LoadNews(enc, 0);
+  std::vector<std::string> want = HeapRowBytes(inline_load.db.get(), "nodes");
   ASSERT_FALSE(want.empty());
+  const ExecStats* inline_stats = inline_load.db->stats();
+  EXPECT_EQ(inline_stats->rows_shredded.value(), want.size());
+  EXPECT_EQ(inline_stats->load_threads_used.value(), 1u);
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    LoadedStore par = LoadNews(enc, /*parallel_load=*/true, threads);
+    LoadedStore par = LoadNews(enc, threads);
     EXPECT_EQ(HeapRowBytes(par.db.get(), "nodes"), want)
         << "threads=" << threads;
     const ExecStats* stats = par.db->stats();
@@ -130,29 +183,45 @@ TEST_P(ParallelLoadDifferentialTest, ByteIdenticalAtEveryThreadCount) {
 }
 
 // Tiny run budget => every worker seals many runs => the k-way merge is
-// actually exercised (a single run would bypass it).
+// actually exercised (a single run would bypass it), inline and on a pool.
 TEST_P(ParallelLoadDifferentialTest, ManySmallRunsMergeBackToSerialOrder) {
   OrderEncoding enc = GetParam();
-  LoadedStore serial = LoadNews(enc, /*parallel_load=*/false);
-  LoadedStore par =
-      LoadNews(enc, /*parallel_load=*/true, 4, /*run_bytes=*/1024);
-  EXPECT_GT(par.db->stats()->runs_merged.value(), 1u);
-  EXPECT_EQ(HeapRowBytes(par.db.get(), "nodes"),
-            HeapRowBytes(serial.db.get(), "nodes"));
+  std::vector<std::string> want = HeapRowBytes(LoadNews(enc, 0).db.get(),
+                                               "nodes");
+  for (size_t threads : {0u, 4u}) {
+    LoadedStore small = LoadNews(enc, threads, /*run_bytes=*/1024);
+    EXPECT_GT(small.db->stats()->runs_merged.value(), 1u)
+        << "threads=" << threads;
+    EXPECT_EQ(HeapRowBytes(small.db.get(), "nodes"), want)
+        << "threads=" << threads;
+  }
 }
 
+// QR1-QR7 on a pool load and an inline load agree node for node, and both
+// match the DOM oracle's answers over the source document; QR8
+// reconstructs one section identically.
 TEST_P(ParallelLoadDifferentialTest, QueriesMatchSerialLoad) {
   OrderEncoding enc = GetParam();
-  LoadedStore par = LoadNews(enc, /*parallel_load=*/true);
-  LoadedStore ser = LoadNews(enc, /*parallel_load=*/false);
+  LoadedStore par = LoadNews(enc, 4);
+  LoadedStore ser = LoadNews(enc, 0);
+  auto doc = NewsDoc();
+  fuzz::DomOracle oracle(*doc);
 
   for (const char* xpath : kQueries) {
+    auto parsed = ParseXPath(xpath);
+    ASSERT_TRUE(parsed.ok()) << xpath << " -> " << parsed.status();
+    std::vector<std::string> want;
+    for (const fuzz::OracleNode& n : oracle.Evaluate(*parsed)) {
+      want.push_back(oracle.Signature(n));
+    }
+    EXPECT_FALSE(want.empty()) << xpath;
     auto a = EvaluateXPath(par.store.get(), xpath);
     auto b = EvaluateXPath(ser.store.get(), xpath);
     ASSERT_TRUE(a.ok()) << xpath << " -> " << a.status();
     ASSERT_TRUE(b.ok()) << xpath << " -> " << b.status();
-    EXPECT_FALSE(b->empty()) << xpath;
     EXPECT_EQ(Identities(enc, *a), Identities(enc, *b)) << xpath;
+    EXPECT_EQ(Signatures(par.store.get(), *a), want) << xpath;
+    EXPECT_EQ(Signatures(ser.store.get(), *b), want) << xpath;
   }
 
   // QR8: subtree reconstruction of one section.
@@ -169,24 +238,26 @@ TEST_P(ParallelLoadDifferentialTest, QueriesMatchSerialLoad) {
 }
 
 // The store's own invariant checker plus full-document reconstruction
-// against the original DOM, after a parallel load.
+// against the original DOM, after a pool load and after an inline load.
 TEST_P(ParallelLoadDifferentialTest, ValidatesAndReconstructs) {
   OrderEncoding enc = GetParam();
-  LoadedStore par = LoadNews(enc, /*parallel_load=*/true);
-  EXPECT_TRUE(par.store->Validate().ok());
   auto doc = NewsDoc();
-  auto rebuilt = par.store->ReconstructDocument();
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-  EXPECT_EQ(WriteXml(**rebuilt), WriteXml(*doc));
+  for (size_t threads : {0u, 4u}) {
+    LoadedStore ls = LoadNews(enc, threads);
+    EXPECT_TRUE(ls.store->Validate().ok()) << "threads=" << threads;
+    auto rebuilt = ls.store->ReconstructDocument();
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    EXPECT_EQ(WriteXml(**rebuilt), WriteXml(*doc)) << "threads=" << threads;
+  }
 }
 
-// A parallel load must not disturb subsequent incremental updates: the
-// Local id allocator and the Global/Dewey gap numbering have to continue
-// exactly where a serial load would have left them.
+// A load must not disturb subsequent incremental updates: the Local id
+// allocator and the Global/Dewey gap numbering have to continue exactly
+// where the loaded rows left them, on a pool and inline alike.
 TEST_P(ParallelLoadDifferentialTest, UpdatesAfterParallelLoadStayCorrect) {
   OrderEncoding enc = GetParam();
-  LoadedStore par = LoadNews(enc, /*parallel_load=*/true);
-  LoadedStore ser = LoadNews(enc, /*parallel_load=*/false);
+  LoadedStore par = LoadNews(enc, 4);
+  LoadedStore ser = LoadNews(enc, 0);
 
   for (LoadedStore* ls : {&par, &ser}) {
     auto target = EvaluateXPath(ls->store.get(), "/nitf/body/section[3]");
@@ -205,6 +276,50 @@ TEST_P(ParallelLoadDifferentialTest, UpdatesAfterParallelLoadStayCorrect) {
   EXPECT_EQ(WriteXml(**ra), WriteXml(**rb));
 }
 
+// The bulk install (AppendBatch + bottom-up index builds) against the
+// per-row path it replaced: the loaded table's rows, re-inserted one by
+// one through a prepared INSERT ... ExecuteBatch into an empty table of
+// the same schema, leave identical heap bytes and identical (key, rid)
+// entries in every index.
+TEST_P(ParallelLoadDifferentialTest, BulkInstallMatchesRowByRowInserts) {
+  OrderEncoding enc = GetParam();
+  LoadedStore bulk = LoadNews(enc, 0);
+  LoadedStore rowwise = OpenStore(enc, LoadOptions(0));
+
+  TableInfo* t = bulk.db->GetTable("nodes");
+  ASSERT_NE(t, nullptr);
+  std::vector<Row> rows;
+  HeapTable::Iterator it = t->heap()->Scan();
+  Rid rid;
+  Row row;
+  while (true) {
+    auto has = it.Next(&rid, &row);
+    ASSERT_TRUE(has.ok()) << has.status();
+    if (!*has) break;
+    rows.push_back(row);
+  }
+  ASSERT_FALSE(rows.empty());
+  std::string sql = "INSERT INTO nodes (" +
+                    std::string(bulk.store->NodeColumns()) + ") VALUES (?";
+  for (size_t i = 1; i < rows[0].size(); ++i) sql += ", ?";
+  sql += ")";
+  auto ins = rowwise.db->Prepare(sql);
+  ASSERT_TRUE(ins.ok()) << ins.status();
+  auto n = ins->ExecuteBatch(rows);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, static_cast<int64_t>(rows.size()));
+
+  EXPECT_EQ(HeapRowBytes(rowwise.db.get(), "nodes"),
+            HeapRowBytes(bulk.db.get(), "nodes"));
+  auto want = IndexEntries(rowwise.db.get(), "nodes");
+  auto got = IndexEntries(bulk.db.get(), "nodes");
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, entries] : want) {
+    EXPECT_EQ(got[name].size(), rows.size()) << name;
+    EXPECT_TRUE(got[name] == entries) << name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEncodings, ParallelLoadDifferentialTest,
                          ::testing::Values(OrderEncoding::kGlobal,
                                            OrderEncoding::kLocal,
@@ -213,17 +328,15 @@ INSTANTIATE_TEST_SUITE_P(AllEncodings, ParallelLoadDifferentialTest,
 // ------------------------------------------------------- repeated loads
 
 // A store holds one document: a second LoadDocument into a non-empty store
-// is rejected on both load paths, before it writes anything, because no
-// encoding has a unique index that would catch the duplicate rows.
+// is rejected, inline and on a pool, before it writes anything, because
+// no encoding has a unique index that would catch the duplicate rows.
+// The bool parameter selects a 2-thread execution pool.
 class SecondLoadTest : public ::testing::TestWithParam<
                            std::tuple<OrderEncoding, bool>> {};
 
 TEST_P(SecondLoadTest, IsRejectedAndLeavesTheStoreIntact) {
-  auto [enc, parallel_load] = GetParam();
-  DatabaseOptions opts;
-  opts.enable_parallel_load = parallel_load;
-  opts.num_load_threads = 2;
-  auto db = Database::Open(opts);
+  auto [enc, with_pool] = GetParam();
+  auto db = Database::Open(LoadOptions(with_pool ? 2 : 0));
   ASSERT_TRUE(db.ok()) << db.status();
   auto store = OrderedXmlStore::Create(db->get(), enc, StoreOptions{});
   ASSERT_TRUE(store.ok()) << store.status();
@@ -252,6 +365,37 @@ INSTANTIATE_TEST_SUITE_P(
                                          OrderEncoding::kLocal,
                                          OrderEncoding::kDewey),
                        ::testing::Bool()));
+
+// ------------------------------------------------------- nesting limit
+
+// The deepest document the parser admits goes through everything that
+// recurses per level: the partitioner and the shredders, reconstruction,
+// WriteXml and DOM teardown, on every encoding.
+class DeepDocumentTest : public ::testing::TestWithParam<OrderEncoding> {};
+
+TEST_P(DeepDocumentTest, LoadsAndReconstructsAtTheNestingLimit) {
+  std::string xml;
+  for (size_t i = 0; i < kMaxXmlDepth; ++i) xml += "<a>";
+  xml += "x";
+  for (size_t i = 0; i < kMaxXmlDepth; ++i) xml += "</a>";
+  auto doc = ParseXml(xml);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+
+  LoadedStore ls = OpenStore(GetParam(), LoadOptions(0));
+  Status load = ls.store->LoadDocument(**doc);
+  ASSERT_TRUE(load.ok()) << load;
+  auto count = ls.store->NodeCount();
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, static_cast<int64_t>(kMaxXmlDepth + 1));
+  auto rebuilt = ls.store->ReconstructDocument();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(WriteXml(**rebuilt), xml);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEncodings, DeepDocumentTest,
+                         ::testing::Values(OrderEncoding::kGlobal,
+                                           OrderEncoding::kLocal,
+                                           OrderEncoding::kDewey));
 
 // ------------------------------------------------------ partition algebra
 
@@ -478,15 +622,11 @@ TEST(AppendBatchTest, BulkLoadFallsBackOnNonEmptyTable) {
 
 // -------------------------------------------------- load/read concurrency
 
-// The shred phase of a parallel load runs outside the exclusive statement
-// latch, so readers of an already-loaded table must keep making progress
+// The shred phase of a load runs outside the exclusive statement latch, so readers of an already-loaded table must keep making progress
 // while another document is being shredded into a second table. Under
 // TSan this also audits the pool/latch interaction of the load path.
 TEST(LoadConcurrencyTest, ReadersOverlapParallelLoad) {
-  DatabaseOptions opts;
-  opts.enable_parallel_load = true;
-  opts.num_load_threads = 2;
-  auto db = Database::Open(opts);
+  auto db = Database::Open(LoadOptions(2));
   ASSERT_TRUE(db.ok()) << db.status();
 
   StoreOptions first;

@@ -747,6 +747,33 @@ TEST(ServerTest, OverflowingXPathLiteralIsAnErrorFrame) {
   EXPECT_TRUE(client->Goodbye().ok());
 }
 
+// Client SQL nested past the parser's limit is an error frame, not a
+// crashed worker: the same session, and a new one, keep being served.
+TEST(ServerTest, DeeplyNestedQueryIsAnErrorFrame) {
+  ServerFixture fx;
+  auto client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(client->Execute("INSERT INTO t VALUES (5)").ok());
+  const std::string deep = "SELECT " + std::string(10000, '(') + "a" +
+                           std::string(10000, ')') + " FROM t";
+  auto bad = client->Query(deep);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsParseError()) << bad.status();
+  EXPECT_FALSE(client->Prepare(deep).ok());
+
+  auto good = client->Query("SELECT a FROM t");
+  ASSERT_TRUE(good.ok()) << good.status();
+  ASSERT_EQ(good->rows.size(), 1u);
+  EXPECT_EQ(good->rows[0][0].AsInt(), 5);
+  auto other = fx.Connect();
+  ASSERT_NE(other, nullptr);
+  auto again = other->Query("SELECT a FROM t");
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(other->Goodbye().ok());
+  EXPECT_TRUE(client->Goodbye().ok());
+}
+
 class ServerQrDifferentialTest
     : public ::testing::TestWithParam<OrderEncoding> {};
 

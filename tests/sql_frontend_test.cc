@@ -5,6 +5,8 @@
 
 #include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "src/relational/database.h"
 #include "src/relational/expression.h"
@@ -193,6 +195,56 @@ TEST(SqlParserTest, KeywordsAreCaseInsensitive) {
 TEST(SqlParserTest, RejectsTrailingTokens) {
   EXPECT_FALSE(ParseSql("SELECT 1 FROM t garbage garbage").ok());
   EXPECT_FALSE(ParseSql("SELECT 1 FROM t; SELECT 2 FROM t").ok());
+}
+
+/// SELECT whose single item nests `levels` deep (the item itself is one
+/// level): `wrap` is "(" for parentheses, or a prefix operator repeated
+/// before the column `a`.
+std::string NestedSelect(size_t levels, const char* wrap) {
+  std::string open, close;
+  for (size_t i = 1; i < levels; ++i) {
+    if (std::string_view(wrap) == "(") {
+      open += "(";
+      close += ")";
+    } else {
+      open += wrap;
+    }
+  }
+  return "SELECT " + open + "a" + close + " FROM t";
+}
+
+// Each recursion of the expression grammar counts one level; the deepest
+// accepted input parses and runs, one level more is a ParseError (the
+// unbounded parser overflowed its stack on 10,000 parentheses).
+TEST(SqlParserTest, NestingAtTheLimitParsesAndOnePastIsAnError) {
+  for (const char* wrap : {"(", "- ", "NOT "}) {
+    auto at = ParseSql(NestedSelect(kMaxSqlNesting, wrap));
+    EXPECT_TRUE(at.ok()) << wrap << ": " << at.status();
+    auto past = ParseSql(NestedSelect(kMaxSqlNesting + 1, wrap));
+    ASSERT_FALSE(past.ok()) << wrap;
+    EXPECT_TRUE(past.status().IsParseError()) << past.status();
+  }
+  // Function arguments nest too.
+  std::string calls = "SELECT ";
+  for (size_t i = 1; i < kMaxSqlNesting + 1; ++i) calls += "ABS(";
+  calls += "a" + std::string(kMaxSqlNesting, ')') + " FROM t";
+  EXPECT_TRUE(ParseSql(calls).status().IsParseError());
+
+  auto db = Database::Open({});
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE((*db)->Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE((*db)->Execute("INSERT INTO t VALUES (7)").ok());
+  auto rs = (*db)->Query(NestedSelect(kMaxSqlNesting, "("));
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 7);
+  rs = (*db)->Query(NestedSelect(kMaxSqlNesting, "- "));
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->rows[0][0].AsInt(), kMaxSqlNesting % 2 == 1 ? 7 : -7);
+  auto deep = (*db)->Query(NestedSelect(10000, "("));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_TRUE(deep.status().IsParseError()) << deep.status();
+  auto prepared = (*db)->Prepare(NestedSelect(10000, "("));
+  EXPECT_TRUE(prepared.status().IsParseError()) << prepared.status();
 }
 
 // -------------------------------------------------------------- expressions

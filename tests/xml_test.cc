@@ -86,6 +86,34 @@ TEST(XmlParserTest, Errors) {
   EXPECT_TRUE(r.status().IsParseError());
 }
 
+std::string NestedXml(size_t levels) {
+  std::string xml;
+  for (size_t i = 0; i < levels; ++i) xml += "<a>";
+  xml += "x";
+  for (size_t i = 0; i < levels; ++i) xml += "</a>";
+  return xml;
+}
+
+// The parser, WriteXml and DOM teardown all recurse once per element; the
+// nesting limit keeps them inside the stack, and one level more is a
+// ParseError, not a stack overflow.
+TEST(XmlParserTest, NestingAtTheLimitParsesAndOnePastIsAnError) {
+  std::string deepest = NestedXml(kMaxXmlDepth);
+  auto doc = ParseXml(deepest);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(WriteXml(**doc), deepest);
+  EXPECT_EQ((*doc)->root_element()->SubtreeSize(), kMaxXmlDepth + 1);
+  doc->reset();  // teardown of the deepest tree the parser admits
+
+  auto past = ParseXml(NestedXml(kMaxXmlDepth + 1));
+  ASSERT_FALSE(past.ok());
+  EXPECT_TRUE(past.status().IsParseError()) << past.status();
+  // Far past the limit — where the unbounded parser overflowed its stack.
+  auto far = ParseXml(NestedXml(100000));
+  ASSERT_FALSE(far.ok());
+  EXPECT_TRUE(far.status().IsParseError()) << far.status();
+}
+
 TEST(XmlWriterTest, RoundTrip) {
   const std::string xml =
       "<a q=\"v\"><b>one</b><c><!--x--><d i=\"2\">two</d></c></a>";

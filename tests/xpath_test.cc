@@ -128,6 +128,20 @@ TEST(XPathParserTest, IntegerLiteralsStopAtInt64Range) {
   }
 }
 
+// A path's nesting is its step count (one more join per step in the SQL
+// translation); the longest accepted path parses, one step more is a
+// ParseError.
+TEST(XPathParserTest, StepsAtTheLimitParseAndOnePastIsAnError) {
+  std::string path;
+  for (size_t i = 0; i < kMaxXPathSteps; ++i) path += i % 2 ? "//a" : "/a";
+  auto q = ParseXPath(path);
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->steps.size(), kMaxXPathSteps);
+  auto past = ParseXPath(path + "/a");
+  ASSERT_FALSE(past.ok());
+  EXPECT_TRUE(past.status().IsParseError()) << past.status();
+}
+
 // -------------------------------------------------------- evaluation tests
 
 constexpr const char* kDoc = R"(
