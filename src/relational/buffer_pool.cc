@@ -31,22 +31,35 @@ bool FileBackend::NoteRetry(int* attempt) {
 }
 
 Result<uint32_t> MemoryBackend::AllocatePage() {
-  auto page = std::make_unique<char[]>(kPageSize);
-  std::memset(page.get(), 0, kPageSize);
-  pages_.push_back(std::move(page));
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  pages_.emplace_back();  // zero until first written
   return static_cast<uint32_t>(pages_.size() - 1);
 }
 
 Status MemoryBackend::ReadPage(uint32_t id, char* buf) {
+  std::shared_lock<std::shared_mutex> lock(mu_);
   if (id >= pages_.size()) return Status::OutOfRange("bad page id");
-  std::memcpy(buf, pages_[id].get(), kPageSize);
+  if (pages_[id] == nullptr) {
+    std::memset(buf, 0, kPageSize);
+  } else {
+    std::memcpy(buf, pages_[id].get(), kPageSize);
+  }
   return Status::OK();
 }
 
 Status MemoryBackend::WritePage(uint32_t id, const char* buf) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
   if (id >= pages_.size()) return Status::OutOfRange("bad page id");
+  if (pages_[id] == nullptr) {
+    pages_[id] = std::unique_ptr<char[]>(new char[kPageSize]);
+  }
   std::memcpy(pages_[id].get(), buf, kPageSize);
   return Status::OK();
+}
+
+uint32_t MemoryBackend::page_count() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return static_cast<uint32_t>(pages_.size());
 }
 
 Result<std::unique_ptr<FileBackend>> FileBackend::Open(
@@ -138,8 +151,9 @@ Status FileBackend::Sync() {
 
 // ------------------------------------------------------------- page handle
 
-PageHandle::PageHandle(BufferPool* pool, uint32_t page_id, char* data)
-    : pool_(pool), page_id_(page_id), data_(data) {}
+PageHandle::PageHandle(BufferPool* pool, BufferFrame* frame,
+                       uint32_t page_id)
+    : pool_(pool), frame_(frame), page_id_(page_id), data_(frame->data.get()) {}
 
 PageHandle::PageHandle(std::shared_ptr<char[]> image, uint32_t page_id)
     : page_id_(page_id), data_(image.get()), owned_(std::move(image)) {}
@@ -148,10 +162,12 @@ PageHandle::~PageHandle() { Release(); }
 
 PageHandle::PageHandle(PageHandle&& other) noexcept
     : pool_(other.pool_),
+      frame_(other.frame_),
       page_id_(other.page_id_),
       data_(other.data_),
       owned_(std::move(other.owned_)) {
   other.pool_ = nullptr;
+  other.frame_ = nullptr;
   other.data_ = nullptr;
 }
 
@@ -159,23 +175,28 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   if (this != &other) {
     Release();
     pool_ = other.pool_;
+    frame_ = other.frame_;
     page_id_ = other.page_id_;
     data_ = other.data_;
     owned_ = std::move(other.owned_);
     other.pool_ = nullptr;
+    other.frame_ = nullptr;
     other.data_ = nullptr;
   }
   return *this;
 }
 
 void PageHandle::MarkDirty() {
-  if (pool_ != nullptr) pool_->Unpin(page_id_, /*dirty=*/true);
-  // Keep the pin: Unpin(dirty) only sets the dirty bit when pinned.
+  if (frame_ != nullptr) pool_->MarkDirty(frame_);
 }
 
 void PageHandle::Release() {
-  if (pool_ != nullptr) {
-    pool_->Unpin(page_id_, /*dirty=*/false);
+  if (frame_ != nullptr) {
+    // Release order: this thread's reads and writes of the page happen
+    // before a victim sweep that sees the count reach 0 and reuses the
+    // buffer. The frame object itself is never freed while the pool lives.
+    frame_->pin_count.fetch_sub(1, std::memory_order_release);
+    frame_ = nullptr;
     pool_ = nullptr;
   }
 }
@@ -190,62 +211,105 @@ BufferPool::~BufferPool() {
   if (!discard_on_destroy_) (void)FlushAll();
 }
 
-void BufferPool::LruRemove(Frame* f) {
-  if (capacity_ == 0) return;  // unbounded pools never evict
-  std::lock_guard<std::mutex> lock(lru_mu_);
-  if (f->in_lru) {
-    lru_.erase(f->lru_pos);
-    f->in_lru = false;
+void BufferPool::Pin(Frame* f) {
+  f->pin_count.fetch_add(1, std::memory_order_relaxed);
+  // Unbounded pools never evict, so they skip the reference bit; bounded
+  // ones write it only when it flips, keeping hits on a hot page from
+  // storing to the same cache line over and over.
+  if (capacity_ != 0 && !f->referenced.load(std::memory_order_relaxed)) {
+    f->referenced.store(true, std::memory_order_relaxed);
   }
 }
 
-void BufferPool::LruAdd(uint32_t page_id, Frame* f) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(lru_mu_);
-  // A concurrent reader may have re-pinned the frame between our pin-count
-  // decrement and this point; listing a pinned frame is harmless because
-  // eviction re-checks the pin count under the exclusive table latch.
-  if (!f->in_lru) {
-    lru_.push_front(page_id);
-    f->lru_pos = lru_.begin();
-    f->in_lru = true;
-  }
+BufferPool::Frame* BufferPool::AddFrame() {
+  frames_.push_back(std::make_unique<Frame>());
+  Frame* f = frames_.back().get();
+  f->data = std::unique_ptr<char[]>(new char[kPageSize]);
+  return f;
 }
 
-Status BufferPool::EnsureCapacity() {
-  if (capacity_ == 0 || frames_.size() < capacity_) return Status::OK();
-  // Evict the least recently used unpinned frame. Frames dirtied by the
-  // open transaction are not eligible (no-steal): writing them back would
-  // put uncommitted bytes in the data file. The exclusive table latch held
-  // by the caller keeps every reader out of the page table, so pin counts
-  // cannot rise underneath the scan.
-  std::lock_guard<std::mutex> lock(lru_mu_);
+Result<BufferPool::Frame*> BufferPool::AcquireFrame() {
+  if (capacity_ == 0 || frames_.size() < capacity_) {
+    return AddFrame();
+  }
+  // CLOCK: the hand passes over every frame at most twice. A referenced
+  // frame loses its bit and gets a second chance; the first unreferenced,
+  // unpinned frame is the victim. Frames dirtied by the open transaction
+  // are not eligible (no-steal): writing them back would put uncommitted
+  // bytes in the data file. Loading frames are pinned by their loader. The
+  // exclusive table latch held by the caller keeps every fetcher out of the
+  // page table, so pin counts cannot rise underneath the sweep; they may
+  // only fall.
   bool saw_txn_dirty = false;
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    uint32_t victim = *it;
-    auto fit = frames_.find(victim);
-    if (fit == frames_.end() ||
-        fit->second.pin_count.load(std::memory_order_relaxed) > 0) {
-      continue;
-    }
-    Frame& f = fit->second;
-    if (f.txn_dirty) {
+  const size_t n = frames_.size();
+  for (size_t step = 0; step < 2 * n; ++step) {
+    Frame* f = frames_[hand_].get();
+    hand_ = hand_ + 1 == n ? 0 : hand_ + 1;
+    if (f->pin_count.load(std::memory_order_acquire) > 0) continue;
+    if (f->txn_dirty) {
       saw_txn_dirty = true;
       continue;
     }
-    if (f.dirty) {
-      OXML_RETURN_NOT_OK(backend_->WritePage(victim, f.data.get()));
+    if (f->referenced.load(std::memory_order_relaxed)) {
+      f->referenced.store(false, std::memory_order_relaxed);
+      continue;
     }
-    lru_.erase(std::next(it).base());
-    frames_.erase(fit);
-    return Status::OK();
+    if (f->page_id != kInvalidPageId) {
+      if (f->dirty) {
+        OXML_RETURN_NOT_OK(backend_->WritePage(f->page_id, f->data.get()));
+        f->dirty = false;
+      }
+      table_.erase(f->page_id);
+      f->page_id = kInvalidPageId;
+    }
+    return f;
   }
   if (saw_txn_dirty) {
     // Every evictable frame belongs to the open transaction; grow the pool
-    // past its capacity for the transaction's lifetime rather than steal.
-    return Status::OK();
+    // past its capacity rather than steal.
+    return AddFrame();
   }
   return Status::Internal("buffer pool exhausted: all frames pinned");
+}
+
+void BufferPool::MapFrame(Frame* f, uint32_t page_id,
+                          BufferFrame::State state) {
+  f->page_id = page_id;
+  f->dirty = false;
+  f->txn_dirty = false;
+  f->state.store(state, std::memory_order_relaxed);
+  f->pin_count.store(1, std::memory_order_relaxed);
+  f->referenced.store(capacity_ != 0, std::memory_order_relaxed);
+  table_.emplace(page_id, f);
+}
+
+Status BufferPool::WaitLoaded(Frame* f) {
+  if (f->state.load(std::memory_order_acquire) == BufferFrame::State::kReady) {
+    return Status::OK();
+  }
+  std::unique_lock<std::mutex> lock(load_mu_);
+  ++f->load_waiters;
+  load_cv_.wait(lock, [f] {
+    return f->state.load(std::memory_order_acquire) !=
+           BufferFrame::State::kLoading;
+  });
+  --f->load_waiters;
+  if (f->state.load(std::memory_order_relaxed) ==
+      BufferFrame::State::kFailed) {
+    return f->load_error;
+  }
+  return Status::OK();
+}
+
+void BufferPool::FinishLoad(Frame* f, const Status& st) {
+  std::lock_guard<std::mutex> lock(load_mu_);
+  if (!st.ok()) f->load_error = st;
+  // Release order: the page bytes the loader just read are visible to a
+  // fetcher that sees kReady, on the hit path or in WaitLoaded.
+  f->state.store(st.ok() ? BufferFrame::State::kReady
+                         : BufferFrame::State::kFailed,
+                 std::memory_order_release);
+  if (f->load_waiters > 0) load_cv_.notify_all();
 }
 
 void BufferPool::CaptureUndo(uint32_t page_id, const Frame& frame) {
@@ -309,28 +373,25 @@ Result<PageHandle> BufferPool::NewPage() {
   // Exclusive: allocation mutates both the backend and the page table.
   std::unique_lock<std::shared_mutex> lock(table_mu_);
   OXML_ASSIGN_OR_RETURN(uint32_t id, backend_->AllocatePage());
-  OXML_RETURN_NOT_OK(EnsureCapacity());
-  Frame& frame = frames_[id];  // in-place: Frame holds an atomic
-  frame.data = std::make_unique<char[]>(kPageSize);
-  std::memset(frame.data.get(), 0, kPageSize);
-  frame.page_id = id;
-  frame.pin_count.store(1, std::memory_order_relaxed);
-  frame.dirty = true;  // a fresh page must eventually reach the backend
+  OXML_ASSIGN_OR_RETURN(Frame* frame, AcquireFrame());
+  std::memset(frame->data.get(), 0, kPageSize);
+  MapFrame(frame, id, BufferFrame::State::kReady);
+  frame->dirty = true;  // a fresh page must eventually reach the backend
   if (in_txn_) {
-    frame.txn_dirty = true;
+    frame->txn_dirty = true;
     ++txn_dirty_count_;
     TxnUndo u;
     u.is_new = true;  // rollback zeroes the page instead of restoring
     undo_.emplace(id, std::move(u));
   }
-  return PageHandle(this, id, frame.data.get());
+  return PageHandle(this, frame, id);
 }
 
 size_t BufferPool::pinned_frame_count() const {
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   size_t n = 0;
-  for (const auto& [id, frame] : frames_) {
-    if (frame.pin_count.load(std::memory_order_relaxed) > 0) ++n;
+  for (const auto& frame : frames_) {
+    if (frame->pin_count.load(std::memory_order_relaxed) > 0) ++n;
   }
   return n;
 }
@@ -340,10 +401,11 @@ Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
   const uint64_t* snap = mvcc_enabled_ && lsn.has_value() ? &*lsn : nullptr;
   {
     // Fast path: a resident page is pinned under the shared latch, so any
-    // number of readers fault-free pages in parallel. Frame addresses are
-    // stable across rehashes (unordered_map) and eviction only erases
-    // unpinned frames under the exclusive latch, so the returned data
-    // pointer stays valid for the life of the pin.
+    // number of readers fault-free pages in parallel. Frames are never
+    // freed and eviction only reuses unpinned frames under the exclusive
+    // latch, so the returned data pointer stays valid for the life of the
+    // pin. A frame still loading is pinned here and waited for outside the
+    // latch.
     //
     // Disabled for the owner of an open transaction: undo capture mutates
     // the unsynchronized undo_ map, and the txn owner's own parallel-scan
@@ -359,84 +421,99 @@ Result<PageHandle> BufferPool::FetchPage(uint32_t page_id) {
     // statements run, so txn_dirty cannot flip underneath us — and a
     // txn-dirty frame is served from the published version chain instead.
     std::shared_lock<std::shared_mutex> lock(table_mu_);
-    if (!in_txn_) {
-      auto it = frames_.find(page_id);
-      if (it != frames_.end()) {
+    if (!in_txn_ || snap != nullptr) {
+      auto it = table_.find(page_id);
+      if (it != table_.end()) {
+        Frame* f = it->second;
+        if (in_txn_ && f->txn_dirty) return ServeVersion(page_id, *snap);
         hits_.fetch_add(1, std::memory_order_relaxed);
-        Frame& f = it->second;
-        f.pin_count.fetch_add(1, std::memory_order_relaxed);
-        LruRemove(&f);
-        return PageHandle(this, page_id, f.data.get());
+        Pin(f);
+        lock.unlock();
+        PageHandle handle(this, f, page_id);
+        OXML_RETURN_NOT_OK(WaitLoaded(f));
+        return handle;
       }
-    } else if (snap != nullptr) {
-      auto it = frames_.find(page_id);
-      if (it != frames_.end()) {
-        Frame& f = it->second;
-        if (f.txn_dirty) return ServeVersion(page_id, *snap);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        f.pin_count.fetch_add(1, std::memory_order_relaxed);
-        LruRemove(&f);
-        return PageHandle(this, page_id, f.data.get());
-      }
-      // Non-resident: no-steal keeps txn-dirty frames resident, so the
-      // backend copy is committed state. Fault it in below — without
-      // capturing undo, which belongs to the transaction owner alone.
+      // Non-resident. While a transaction is open, no-steal keeps its
+      // txn-dirty frames resident, so the backend copy is committed state:
+      // a snapshot reader faults it in below without capturing undo, which
+      // belongs to the transaction owner alone.
     }
   }
-  std::unique_lock<std::shared_mutex> lock(table_mu_);
-  // Another thread may have faulted the page in while we upgraded.
-  auto it = frames_.find(page_id);
-  if (it != frames_.end()) {
-    Frame& f = it->second;
-    if (snap != nullptr && in_txn_ && f.txn_dirty) {
-      return ServeVersion(page_id, *snap);
+  for (;;) {
+    std::unique_lock<std::shared_mutex> lock(table_mu_);
+    const bool txn_owner = in_txn_ && snap == nullptr;
+    // Another thread may have mapped the page while we upgraded.
+    auto it = table_.find(page_id);
+    if (it != table_.end()) {
+      Frame* f = it->second;
+      if (snap != nullptr && in_txn_ && f->txn_dirty) {
+        return ServeVersion(page_id, *snap);
+      }
+      Pin(f);
+      PageHandle handle(this, f, page_id);
+      if (f->state.load(std::memory_order_acquire) ==
+          BufferFrame::State::kLoading) {
+        // Wait without the latch: a failed load retakes it to unmap the
+        // frame. The transaction owner then looks again, so undo capture
+        // sees the loaded bytes under the latch.
+        lock.unlock();
+        OXML_RETURN_NOT_OK(WaitLoaded(f));
+        if (txn_owner) continue;
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return handle;
+      }
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      if (snap == nullptr) CaptureUndo(page_id, *f);
+      return handle;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (snap == nullptr) CaptureUndo(page_id, f);
-    f.pin_count.fetch_add(1, std::memory_order_relaxed);
-    LruRemove(&f);
-    return PageHandle(this, page_id, f.data.get());
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    OXML_ASSIGN_OR_RETURN(Frame* f, AcquireFrame());
+    if (txn_owner) {
+      // The owner reads under the latch, as undo capture requires.
+      Status st = backend_->ReadPage(page_id, f->data.get());
+      if (!st.ok()) return st;  // `f` stays unmapped, free for reuse
+      MapFrame(f, page_id, BufferFrame::State::kReady);
+      CaptureUndo(page_id, *f);
+      return PageHandle(this, f, page_id);
+    }
+    // Map the frame pinned and loading, then read with no latch held:
+    // hits on other pages, and other misses, proceed meanwhile.
+    MapFrame(f, page_id, BufferFrame::State::kLoading);
+    lock.unlock();
+    PageHandle handle(this, f, page_id);
+    Status st = backend_->ReadPage(page_id, f->data.get());
+    if (!st.ok()) {
+      // Unmap first so the next fetch of this page misses and retries;
+      // the frame is reused once this handle and every waiter's unpin.
+      std::lock_guard<std::shared_mutex> relock(table_mu_);
+      table_.erase(page_id);
+      f->page_id = kInvalidPageId;
+    }
+    FinishLoad(f, st);
+    OXML_RETURN_NOT_OK(st);
+    return handle;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  OXML_RETURN_NOT_OK(EnsureCapacity());
-  auto data = std::make_unique<char[]>(kPageSize);
-  OXML_RETURN_NOT_OK(backend_->ReadPage(page_id, data.get()));
-  Frame& frame = frames_[page_id];
-  frame.data = std::move(data);
-  frame.page_id = page_id;
-  frame.pin_count.store(1, std::memory_order_relaxed);
-  if (snap == nullptr) CaptureUndo(page_id, frame);
-  return PageHandle(this, page_id, frame.data.get());
 }
 
-void BufferPool::Unpin(uint32_t page_id, bool dirty) {
+void BufferPool::MarkDirty(Frame* f) {
+  // Only writers mark pages dirty, and the statement latch serializes them
+  // against every reader, so these plain fields race with nothing; the
+  // shared table latch orders them against victim sweeps and flushes.
   std::shared_lock<std::shared_mutex> lock(table_mu_);
-  auto it = frames_.find(page_id);
-  if (it == frames_.end()) return;
-  Frame& f = it->second;
-  if (dirty) {
-    // Only writers mark pages dirty, and the statement latch serializes
-    // them against every reader, so these plain fields race with nothing.
-    f.dirty = true;
-    if (in_txn_ && !f.txn_dirty) {
-      f.txn_dirty = true;
-      ++txn_dirty_count_;
-    }
-    return;  // MarkDirty does not drop the pin
+  f->dirty = true;
+  if (in_txn_ && !f->txn_dirty) {
+    f->txn_dirty = true;
+    ++txn_dirty_count_;
   }
-  int prev = f.pin_count.load(std::memory_order_relaxed);
-  while (prev > 0 && !f.pin_count.compare_exchange_weak(
-                         prev, prev - 1, std::memory_order_relaxed)) {
-  }
-  if (prev == 1) LruAdd(page_id, &f);
 }
 
 Status BufferPool::FlushAll() {
   std::unique_lock<std::shared_mutex> lock(table_mu_);
-  for (auto& [id, frame] : frames_) {
-    if (frame.dirty && !frame.txn_dirty) {
-      OXML_RETURN_NOT_OK(backend_->WritePage(id, frame.data.get()));
-      frame.dirty = false;
+  for (auto& frame : frames_) {
+    if (frame->dirty && !frame->txn_dirty) {
+      OXML_RETURN_NOT_OK(
+          backend_->WritePage(frame->page_id, frame->data.get()));
+      frame->dirty = false;
     }
   }
   return Status::OK();
@@ -475,23 +552,23 @@ Status BufferPool::CommitTxn() {
   uint64_t commit_lsn = last_commit_lsn_.load(std::memory_order_relaxed) + 1;
   if (wal_ != nullptr) {
     // Log images in page order so replay and crash tests are deterministic.
-    std::vector<uint32_t> ids;
-    ids.reserve(txn_dirty_count_);
-    for (const auto& [id, frame] : frames_) {
-      if (frame.txn_dirty) ids.push_back(id);
+    std::vector<const Frame*> dirty;
+    dirty.reserve(txn_dirty_count_);
+    for (const auto& frame : frames_) {
+      if (frame->txn_dirty) dirty.push_back(frame.get());
     }
-    std::sort(ids.begin(), ids.end());
-    for (uint32_t id : ids) {
-      OXML_RETURN_NOT_OK(wal_->AppendPageImage(id, frames_[id].data.get()));
+    std::sort(dirty.begin(), dirty.end(), [](const Frame* a, const Frame* b) {
+      return a->page_id < b->page_id;
+    });
+    for (const Frame* f : dirty) {
+      OXML_RETURN_NOT_OK(wal_->AppendPageImage(f->page_id, f->data.get()));
     }
     // The commit record makes the transaction real. On failure the txn is
     // left open so the caller can roll back — recovery will ignore the
     // orphaned images above.
     OXML_RETURN_NOT_OK(wal_->Commit(commit_lsn));
   }
-  for (auto& [id, frame] : frames_) {
-    frame.txn_dirty = false;
-  }
+  for (auto& frame : frames_) frame->txn_dirty = false;
   last_commit_lsn_.store(commit_lsn, std::memory_order_release);
   in_txn_ = false;
   txn_dirty_count_ = 0;
@@ -515,14 +592,14 @@ Status BufferPool::RollbackTxn() {
     return Status::InvalidArgument("no transaction is open");
   }
   for (auto& [id, u] : undo_) {
-    auto it = frames_.find(id);
-    if (it == frames_.end()) {
+    auto it = table_.find(id);
+    if (it == table_.end()) {
       // An undo-tracked clean frame may have been evicted (it was read, not
       // written, inside the txn — the backend still holds its last committed
       // image). Nothing to restore.
       continue;
     }
-    Frame& f = it->second;
+    Frame& f = *it->second;
     if (u.is_new) {
       // The page did not exist before the transaction. The backend already
       // allocated it (zeroed); zero the frame and mark it clean so nothing

@@ -2,8 +2,8 @@
 #define OXML_RELATIONAL_BUFFER_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -32,18 +32,21 @@ class StorageBackend {
   virtual uint32_t page_count() const = 0;
 };
 
-/// Keeps every page in RAM (a main-memory database configuration).
+/// Keeps every page in RAM (a main-memory database configuration). A
+/// page's buffer is allocated by its first WritePage and reads as zeros
+/// until then, so pages that live only in the buffer pool are not held
+/// twice. Safe for concurrent ReadPage beside AllocatePage/WritePage: the
+/// pool faults pages in outside its page-table latch.
 class MemoryBackend : public StorageBackend {
  public:
   Result<uint32_t> AllocatePage() override;
   Status ReadPage(uint32_t id, char* buf) override;
   Status WritePage(uint32_t id, const char* buf) override;
-  uint32_t page_count() const override {
-    return static_cast<uint32_t>(pages_.size());
-  }
+  uint32_t page_count() const override;
 
  private:
-  std::vector<std::unique_ptr<char[]>> pages_;
+  mutable std::shared_mutex mu_;  // guards `pages_` and every page's bytes
+  std::vector<std::unique_ptr<char[]>> pages_;  // null: never written
 };
 
 /// Stores pages in a file via pread/pwrite (a disk-resident configuration).
@@ -98,6 +101,32 @@ class FileBackend : public StorageBackend {
 
 class BufferPool;
 
+/// One page slot of a BufferPool. Frames are allocated once and reused in
+/// place when CLOCK picks them as victims, so a frame's address and its
+/// 8 KiB buffer stay valid for as long as anyone holds a pin on it.
+struct BufferFrame {
+  enum class State : uint8_t {
+    kReady,    ///< `data` holds the page
+    kLoading,  ///< a fetcher is reading the page outside the table latch
+    kFailed,   ///< that read failed; `load_error` says why (frame unmapped)
+  };
+
+  std::unique_ptr<char[]> data;
+  /// kInvalidPageId while the frame maps no page (never used, or its load
+  /// failed). Written only under the exclusive table latch.
+  uint32_t page_id = kInvalidPageId;
+  /// Raised under the table latch (either mode); dropped with no latch by
+  /// PageHandle::Release. A pinned frame is never a victim.
+  std::atomic<int> pin_count{0};
+  /// CLOCK reference bit: set on pin, cleared by the sweeping hand.
+  std::atomic<bool> referenced{false};
+  std::atomic<State> state{State::kReady};
+  int load_waiters = 0;  // guarded by BufferPool::load_mu_
+  Status load_error;     // guarded by BufferPool::load_mu_
+  bool dirty = false;
+  bool txn_dirty = false;  // dirtied by the open transaction
+};
+
 /// RAII pin on a buffered page. While a PageHandle is alive the frame will
 /// not be evicted. Call MarkDirty() after mutating data().
 ///
@@ -107,7 +136,7 @@ class BufferPool;
 class PageHandle {
  public:
   PageHandle() = default;
-  PageHandle(BufferPool* pool, uint32_t page_id, char* data);
+  PageHandle(BufferPool* pool, BufferFrame* frame, uint32_t page_id);
   /// Version-backed handle: keeps `image` alive for the handle's lifetime.
   PageHandle(std::shared_ptr<char[]> image, uint32_t page_id);
   ~PageHandle();
@@ -123,14 +152,16 @@ class PageHandle {
   void MarkDirty();
 
  private:
+  /// Drops the pin straight on the frame: no latch, no page-table lookup.
   void Release();
   BufferPool* pool_ = nullptr;
+  BufferFrame* frame_ = nullptr;  // null for version-backed handles
   uint32_t page_id_ = kInvalidPageId;
   char* data_ = nullptr;
   std::shared_ptr<char[]> owned_;  // set for version-backed handles
 };
 
-/// A pin-counted LRU buffer pool over a StorageBackend, with single-level
+/// A pin-counted CLOCK buffer pool over a StorageBackend, with single-level
 /// transaction support.
 ///
 /// Transaction discipline (no-steal, redo-only WAL):
@@ -147,18 +178,20 @@ class PageHandle {
 /// pre-images are captured on the first fetch of a page inside the
 /// transaction.
 ///
-/// Threading (see docs/INTERNALS.md §9): any number of threads may call
-/// FetchPage/Unpin concurrently. The page table is guarded by a
+/// Threading (see docs/INTERNALS.md §9): any number of threads may fetch
+/// and release pages concurrently. The page table is guarded by a
 /// reader–writer latch whose shared mode covers the hit fast path (lookup
-/// plus an atomic pin-count bump); misses, NewPage, eviction, FlushAll and
-/// the transaction entry points take it exclusively. While a transaction
-/// is open the txn owner's fetches take the exclusive path — undo capture
-/// mutates the unsynchronized undo map, and the owner's parallel-scan
-/// workers call FetchPage concurrently without holding the statement
-/// latch. LRU bookkeeping lives under its own small mutex and is skipped
-/// entirely for unbounded pools (capacity 0). Transactions and every other
-/// mutation are additionally serialized by the Database-level statement
-/// latch.
+/// plus an atomic pin-count bump and reference bit). A miss takes it
+/// exclusively only to pick a victim and map the page to a frame marked
+/// *loading*; the backend read runs after the latch is dropped, and other
+/// fetchers of that page pin the frame and wait for the load. NewPage,
+/// eviction, FlushAll and the transaction entry points take the latch
+/// exclusively. While a transaction is open the txn owner's fetches take
+/// the exclusive path and read under it — undo capture mutates the
+/// unsynchronized undo map, and the owner's parallel-scan workers call
+/// FetchPage concurrently without holding the statement latch. Releasing a
+/// pin takes no latch at all. Transactions and every other mutation are
+/// additionally serialized by the Database-level statement latch.
 ///
 /// MVCC snapshot reads (INTERNALS.md §11): every pre-image the undo log
 /// captures is simultaneously *published* as an immutable page version
@@ -178,8 +211,8 @@ class BufferPool {
  public:
   /// `capacity` is the number of resident frames; 0 means unbounded
   /// (sensible with MemoryBackend). A transaction whose footprint exceeds
-  /// the capacity temporarily grows the pool past it (no-steal forbids
-  /// evicting its pages).
+  /// the capacity grows the pool past it (no-steal forbids evicting its
+  /// pages); the extra frames stay and are reused by later misses.
   BufferPool(std::unique_ptr<StorageBackend> backend, size_t capacity = 0);
   ~BufferPool();
 
@@ -285,16 +318,7 @@ class BufferPool {
  private:
   friend class PageHandle;
 
-  struct Frame {
-    std::unique_ptr<char[]> data;
-    uint32_t page_id = kInvalidPageId;
-    /// Atomic so concurrent readers can pin under the shared table latch.
-    std::atomic<int> pin_count{0};
-    bool dirty = false;
-    bool txn_dirty = false;  // dirtied by the open transaction
-    std::list<uint32_t>::iterator lru_pos;
-    bool in_lru = false;
-  };
+  using Frame = BufferFrame;
 
   /// Rollback state for one page touched inside the open transaction. The
   /// pre-image buffer is shared with the published version chain (MVCC), so
@@ -313,36 +337,48 @@ class BufferPool {
     uint64_t base_lsn = 0;
   };
 
-  void Unpin(uint32_t page_id, bool dirty);
+  /// Sets the frame's dirty bits (PageHandle::MarkDirty); keeps the pin.
+  void MarkDirty(Frame* f);
+  /// Pins `f` and sets its reference bit. Caller holds `table_mu_`.
+  void Pin(Frame* f);
+  /// Blocks until `f` (pinned by the caller) leaves State::kLoading.
+  /// Returns the load's error if it failed. Caller holds no latch.
+  Status WaitLoaded(Frame* f);
+  /// Publishes the outcome of an out-of-latch load and wakes its waiters.
+  void FinishLoad(Frame* f, const Status& st);
   /// Serves `page_id` from the published version chains for a reader whose
   /// snapshot is `snap_lsn`. Caller holds `table_mu_` (either mode).
   Result<PageHandle> ServeVersion(uint32_t page_id, uint64_t snap_lsn);
   /// Drops all published versions (transaction end). Caller holds
   /// `table_mu_` exclusively.
   void RetireVersions();
-  /// Evicts one unpinned, non-txn-dirty frame if at capacity. Grows past
-  /// capacity when only txn-dirty frames remain; errors if all are pinned.
-  /// Caller must hold `table_mu_` exclusively.
-  Status EnsureCapacity();
+  /// Returns an unmapped, unpinned frame for a new page: a fresh one below
+  /// capacity, else the CLOCK victim (written back first if dirty). Grows
+  /// past capacity when only txn-dirty frames are evictable; errors if all
+  /// are pinned. Caller must hold `table_mu_` exclusively.
+  Result<Frame*> AcquireFrame();
+  /// Appends a new unmapped frame with its page buffer.
+  Frame* AddFrame();
+  /// Maps `page_id` to `f` (from AcquireFrame), pinned once. Caller holds
+  /// `table_mu_` exclusively.
+  void MapFrame(Frame* f, uint32_t page_id, BufferFrame::State state);
   /// Records the pre-image of `frame` if the open transaction has not
   /// touched this page yet.
   void CaptureUndo(uint32_t page_id, const Frame& frame);
-  /// Moves the frame off the LRU list (it just got pinned). No-op for
-  /// unbounded pools.
-  void LruRemove(Frame* f);
-  /// Makes an unpinned frame eviction-eligible. No-op for unbounded pools.
-  void LruAdd(uint32_t page_id, Frame* f);
 
   std::unique_ptr<StorageBackend> backend_;
   size_t capacity_;
-  /// Guards `frames_` (and the backend): shared for the hit fast path,
-  /// exclusive for misses / allocation / eviction / flush / txn entry
-  /// points.
+  /// Guards `table_`, `frames_`, `hand_` and the frames' mapping and dirty
+  /// bits: shared for the hit fast path, exclusive for victim selection,
+  /// allocation, flush and the txn entry points.
   mutable std::shared_mutex table_mu_;
-  std::unordered_map<uint32_t, Frame> frames_;
-  /// Guards `lru_` plus the in_lru/lru_pos fields of every frame.
-  std::mutex lru_mu_;
-  std::list<uint32_t> lru_;  // front = most recently used
+  std::unordered_map<uint32_t, Frame*> table_;  // resident page -> frame
+  std::vector<std::unique_ptr<Frame>> frames_;  // every frame, never freed
+  size_t hand_ = 0;                             // CLOCK hand into frames_
+  /// Guards the frames' load_waiters/load_error and the wakeups of fetchers
+  /// waiting out a load. Taken after `table_mu_` or with no latch held.
+  std::mutex load_mu_;
+  std::condition_variable load_cv_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> saved_fetches_{0};

@@ -279,8 +279,15 @@ Status Database::Close() {
     // discarded, WAL detached): checkpointing it would flush garbage.
     if (closed_) return st;
   }
-  Status cp = Checkpoint();
-  if (st.ok()) st = cp;
+  if (options_.file_path.empty()) {
+    // A memory-resident database's pages die with it. Flushing them would
+    // only copy every page into the MemoryBackend, which allocates a
+    // page's buffer on its first write, doubling the memory at close.
+    pool_->set_discard_on_destroy(true);
+  } else {
+    Status cp = Checkpoint();
+    if (st.ok()) st = cp;
+  }
   closed_ = true;
   wal_.reset();
   pool_->SetWal(nullptr);

@@ -32,7 +32,7 @@ class ThreadPool;
 
 /// Configuration of a Database instance.
 struct DatabaseOptions {
-  /// When non-empty, pages live in this file behind an LRU buffer pool;
+  /// When non-empty, pages live in this file behind a CLOCK buffer pool;
   /// otherwise everything is memory-resident.
   std::string file_path;
   /// Buffer-pool frames when file-backed (0 = unbounded cache).
@@ -435,9 +435,11 @@ class Database {
   /// databases. Must not be called inside a transaction.
   Status Checkpoint();
 
-  /// Checkpoints and releases the WAL. Idempotent; called automatically by
-  /// the destructor, which logs (but must swallow) any failure — call
-  /// Close() directly to observe it. An open transaction is rolled back.
+  /// Checkpoints a file-backed database and releases the WAL; a memory-
+  /// resident database's pages are dropped unflushed. Idempotent; called
+  /// automatically by the destructor, which logs (but must swallow) any
+  /// failure — call Close() directly to observe it. An open transaction
+  /// is rolled back.
   Status Close();
 
   // ------------------------------------------------------------ transactions

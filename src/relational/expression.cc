@@ -144,7 +144,21 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
   }
 }
 
+ExprPtr JoinRange(BinaryOp op, std::vector<ExprPtr>* operands, size_t lo,
+                  size_t hi) {
+  if (hi - lo == 1) return std::move((*operands)[lo]);
+  size_t mid = lo + (hi - lo + 1) / 2;
+  ExprPtr left = JoinRange(op, operands, lo, mid);
+  return std::make_unique<BinaryExpr>(op, std::move(left),
+                                      JoinRange(op, operands, mid, hi));
+}
+
 }  // namespace
+
+ExprPtr JoinBalanced(BinaryOp op, std::vector<ExprPtr> operands) {
+  if (operands.empty()) return nullptr;
+  return JoinRange(op, &operands, 0, operands.size());
+}
 
 bool LikeMatch(std::string_view text, std::string_view pattern) {
   // Iterative wildcard match with backtracking on the last '%'.

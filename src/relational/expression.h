@@ -253,6 +253,14 @@ class StarExpr : public Expr {
   void CollectColumns(std::vector<int>*) const override {}
 };
 
+/// Joins `operands` with the associative `op` (AND, OR) as a balanced
+/// tree, so the tree is O(log n) deep however long the chain: planning,
+/// evaluation and destruction all recurse over it. Operands keep their
+/// left-to-right order, so evaluation and short-circuiting visit them as a
+/// left-deep chain would; up to three operands the tree *is* left-deep.
+/// Returns null for an empty list.
+ExprPtr JoinBalanced(BinaryOp op, std::vector<ExprPtr> operands);
+
 /// SQL LIKE with % (any run) and _ (any char) wildcards.
 bool LikeMatch(std::string_view text, std::string_view pattern);
 

@@ -1,6 +1,7 @@
 #ifndef OXML_RELATIONAL_FAULT_INJECTION_H_
 #define OXML_RELATIONAL_FAULT_INJECTION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,10 +17,12 @@ namespace oxml {
 /// tests arm the plan to fire at the Nth counted I/O; once a crash-class
 /// fault fires, every subsequent operation fails with a "simulated crash"
 /// IOError, modelling a killed process whose files can no longer change.
-/// Not latched: durable I/O only happens under the database's exclusive
+/// Not latched: durable writes only happen under the database's exclusive
 /// statement latch (writers and transactions serialize; concurrent readers
 /// never write pages or the WAL), so the counters here see one thread at a
-/// time. Crash tests additionally run single-threaded by construction.
+/// time. Page *reads* run concurrently — the buffer pool faults pages in
+/// outside its table latch — so the `crashed` flag they consult is atomic.
+/// Crash tests additionally run single-threaded by construction.
 struct FaultPlan {
   enum class Mode : uint8_t {
     kNone = 0,    ///< count I/Os but never fire
@@ -72,7 +75,10 @@ struct FaultPlan {
   /// Counts a sync (fsync of data file or WAL).
   Decision BeforeSync() { return Step(/*is_write=*/true); }
   /// Reads are not counted toward the trigger, but fail after a crash.
-  Decision BeforeRead() { return crashed ? Decision::kFail : Decision::kProceed; }
+  Decision BeforeRead() {
+    return crashed.load(std::memory_order_acquire) ? Decision::kFail
+                                                   : Decision::kProceed;
+  }
 
   /// IOError used for simulated failures.
   static Status SimulatedError(const char* what) {
@@ -91,7 +97,7 @@ struct FaultPlan {
   uint64_t faults_fired = 0;  ///< number of injected faults so far
   uint64_t transient_failures = 2;  ///< K for Mode::kTransient
   Mode mode = Mode::kNone;
-  bool crashed = false;       ///< post-crash: every I/O fails
+  std::atomic<bool> crashed{false};  ///< post-crash: every I/O fails
 
  private:
   Decision Step(bool is_write) {

@@ -28,16 +28,7 @@ std::vector<ExprPtr> SplitConjuncts(ExprPtr expr) {
 }
 
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {
-  ExprPtr out;
-  for (auto& c : conjuncts) {
-    if (out == nullptr) {
-      out = std::move(c);
-    } else {
-      out = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(out),
-                                         std::move(c));
-    }
-  }
-  return out;
+  return JoinBalanced(BinaryOp::kAnd, std::move(conjuncts));
 }
 
 namespace {

@@ -19,7 +19,8 @@ class Database;
 /// conjuncts. A null input yields an empty list.
 std::vector<ExprPtr> SplitConjuncts(ExprPtr expr);
 
-/// Re-joins conjuncts with AND (returns null for an empty list).
+/// Re-joins conjuncts with AND as a balanced tree (JoinBalanced; returns
+/// null for an empty list).
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 
 /// The access path chosen for one base table: either a sequential scan

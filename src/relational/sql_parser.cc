@@ -296,36 +296,55 @@ class Parser {
   /// expression grammar (parentheses, function arguments, NOT, unary minus)
   /// goes through here, so the stack and the tree depth stay bounded.
   Result<ExprPtr> Deeper(Result<ExprPtr> (Parser::*parse)()) {
-    if (depth_ == kMaxSqlNesting) {
-      return Error(StrCat({"expression nested deeper than ",
-                           std::to_string(kMaxSqlNesting), " levels"}));
-    }
+    if (depth_ == kMaxSqlNesting) return NestingError();
     ++depth_;
     Result<ExprPtr> e = (this->*parse)();
     --depth_;
     return e;
   }
 
+  Status NestingError() const {
+    return Error(StrCat({"expression nested deeper than ",
+                         std::to_string(kMaxSqlNesting), " levels"}));
+  }
+
+  /// Puts `depth_` back when an arithmetic chain ends. The chain loops in
+  /// ParseAdditive and ParseMultiplicative build a left-deep tree, one
+  /// level per operator, so each operator counts as one nesting level
+  /// (for the rest of the chain, its right operands included).
+  class ChainDepth {
+   public:
+    explicit ChainDepth(size_t* depth) : depth_(depth), saved_(*depth) {}
+    ~ChainDepth() { *depth_ = saved_; }
+    ChainDepth(const ChainDepth&) = delete;
+    ChainDepth& operator=(const ChainDepth&) = delete;
+
+   private:
+    size_t* depth_;
+    size_t saved_;
+  };
+
   Result<ExprPtr> ParseExpr() { return Deeper(&Parser::ParseOr); }
 
+  // AND and OR chains are built balanced (JoinBalanced): both are
+  // associative in three-valued logic, and a left-deep tree as long as the
+  // chain would overflow the stack of every pass that recurses over it.
   Result<ExprPtr> ParseOr() {
-    OXML_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
-    while (MatchKeyword("OR")) {
-      OXML_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = std::make_unique<BinaryExpr>(BinaryOp::kOr, std::move(left),
-                                          std::move(right));
-    }
-    return left;
+    std::vector<ExprPtr> operands;
+    do {
+      OXML_ASSIGN_OR_RETURN(ExprPtr operand, ParseAnd());
+      operands.push_back(std::move(operand));
+    } while (MatchKeyword("OR"));
+    return JoinBalanced(BinaryOp::kOr, std::move(operands));
   }
 
   Result<ExprPtr> ParseAnd() {
-    OXML_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
-    while (MatchKeyword("AND")) {
-      OXML_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-      left = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(left),
-                                          std::move(right));
-    }
-    return left;
+    std::vector<ExprPtr> operands;
+    do {
+      OXML_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      operands.push_back(std::move(operand));
+    } while (MatchKeyword("AND"));
+    return JoinBalanced(BinaryOp::kAnd, std::move(operands));
   }
 
   Result<ExprPtr> ParseNot() {
@@ -360,22 +379,19 @@ class Parser {
       }
     }
     if (MatchKeyword("IN")) {
-      // Desugar: left IN (a, b, ...) == (left = a OR left = b OR ...).
+      // Desugar: left IN (a, b, ...) == (left = a OR left = b OR ...),
+      // built balanced like any OR chain.
       OXML_RETURN_NOT_OK(ExpectSymbol("("));
-      ExprPtr disjunction;
+      std::vector<ExprPtr> equalities;
       do {
         OXML_ASSIGN_OR_RETURN(ExprPtr item, ParseAdditive());
         OXML_ASSIGN_OR_RETURN(ExprPtr left_copy, CopySimple(left.get()));
-        ExprPtr eq = std::make_unique<BinaryExpr>(
-            BinaryOp::kEq, std::move(left_copy), std::move(item));
-        if (disjunction == nullptr) {
-          disjunction = std::move(eq);
-        } else {
-          disjunction = std::make_unique<BinaryExpr>(
-              BinaryOp::kOr, std::move(disjunction), std::move(eq));
-        }
+        equalities.push_back(std::make_unique<BinaryExpr>(
+            BinaryOp::kEq, std::move(left_copy), std::move(item)));
       } while (MatchSymbol(","));
       OXML_RETURN_NOT_OK(ExpectSymbol(")"));
+      ExprPtr disjunction =
+          JoinBalanced(BinaryOp::kOr, std::move(equalities));
       if (negated) {
         return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::kNot,
                                                    std::move(disjunction)));
@@ -449,6 +465,7 @@ class Parser {
 
   Result<ExprPtr> ParseAdditive() {
     OXML_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
+    ChainDepth chain(&depth_);
     while (true) {
       BinaryOp op;
       if (PeekSymbol("+")) {
@@ -458,6 +475,8 @@ class Parser {
       } else {
         break;
       }
+      if (depth_ == kMaxSqlNesting) return NestingError();
+      ++depth_;
       Advance();
       OXML_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
       left = std::make_unique<BinaryExpr>(op, std::move(left),
@@ -468,6 +487,7 @@ class Parser {
 
   Result<ExprPtr> ParseMultiplicative() {
     OXML_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
+    ChainDepth chain(&depth_);
     while (true) {
       BinaryOp op;
       if (PeekSymbol("*")) {
@@ -479,6 +499,8 @@ class Parser {
       } else {
         break;
       }
+      if (depth_ == kMaxSqlNesting) return NestingError();
+      ++depth_;
       Advance();
       OXML_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
       left = std::make_unique<BinaryExpr>(op, std::move(left),

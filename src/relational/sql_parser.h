@@ -11,7 +11,9 @@
 namespace oxml {
 
 /// Deepest expression nesting (parentheses, function arguments, NOT, unary
-/// minus) the parser accepts; deeper client SQL is a ParseError.
+/// minus, and each operator of a `+ - * / %` chain) the parser accepts;
+/// deeper client SQL is a ParseError. AND/OR chains and IN lists are built
+/// balanced, so their length is not bounded by this.
 inline constexpr size_t kMaxSqlNesting = 256;
 
 /// Parses a single SQL statement (optionally terminated by ';').

@@ -774,6 +774,65 @@ TEST(ServerTest, DeeplyNestedQueryIsAnErrorFrame) {
   EXPECT_TRUE(client->Goodbye().ok());
 }
 
+// Long left-deep operator chains fit in one kQuery frame without any
+// nesting: 100,000 `+` terms is a ParseError frame, and 100,000-long IN
+// lists and AND/OR chains are answered (they are built balanced). The
+// session keeps serving after each.
+TEST(ServerTest, LongOperatorChainsDoNotCrashTheSession) {
+  ServerFixture fx;
+  auto client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(client->Execute("INSERT INTO t VALUES (5), (200000)").ok());
+  constexpr int kTerms = 100000;
+  auto chain = [](const std::string& first, const std::string& sep,
+                  auto term) {
+    std::string out = first;
+    for (int i = 1; i < kTerms; ++i) out += sep + term(i);
+    return out;
+  };
+  auto one = [](int) { return std::string("1"); };
+  auto number = [](int i) { return std::to_string(i); };
+
+  const std::string sum = "SELECT " + chain("1", "+", one) + " FROM t";
+  auto bad = client->Query(sum);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsParseError()) << bad.status();
+  const std::string product =
+      "SELECT a FROM t WHERE a = " + chain("1", " * ", one);
+  bad = client->Query(product);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsParseError()) << bad.status();
+
+  // a IN (0, 1, ..., 99999): only a = 5 matches.
+  const std::string in_list =
+      "SELECT a FROM t WHERE a IN (" + chain("0", ", ", number) + ")";
+  auto in = client->Query(in_list);
+  ASSERT_TRUE(in.ok()) << in.status();
+  ASSERT_EQ(in->rows.size(), 1u);
+  EXPECT_EQ(in->rows[0][0].AsInt(), 5);
+  // a <> 1 AND a <> 2 AND ...: 5 fails at a <> 5, 200000 passes them all.
+  const std::string conjunction =
+      "SELECT a FROM t WHERE a <> 0" +
+      chain("", " AND a <> ", number);
+  auto all = client->Query(conjunction);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->rows.size(), 1u);
+  EXPECT_EQ(all->rows[0][0].AsInt(), 200000);
+  // a = 0 OR a = 1 OR ...: the same answer as the IN list.
+  const std::string disjunction =
+      "SELECT a FROM t WHERE a = 0" + chain("", " OR a = ", number);
+  auto any = client->Query(disjunction);
+  ASSERT_TRUE(any.ok()) << any.status();
+  ASSERT_EQ(any->rows.size(), 1u);
+  EXPECT_EQ(any->rows[0][0].AsInt(), 5);
+
+  auto good = client->Query("SELECT a FROM t WHERE a = 5");
+  ASSERT_TRUE(good.ok()) << good.status();
+  ASSERT_EQ(good->rows.size(), 1u);
+  EXPECT_TRUE(client->Goodbye().ok());
+}
+
 class ServerQrDifferentialTest
     : public ::testing::TestWithParam<OrderEncoding> {};
 

@@ -247,6 +247,38 @@ TEST(SqlParserTest, NestingAtTheLimitParsesAndOnePastIsAnError) {
   EXPECT_TRUE(prepared.status().IsParseError()) << prepared.status();
 }
 
+// Each operator of a left-deep arithmetic chain counts one nesting level,
+// so a 100,000-term sum is a ParseError rather than a tree deep enough to
+// overflow the planner's or evaluator's stack. AND/OR chains are built
+// balanced instead: their operands keep their order, and up to three
+// operands the tree is the left-deep one.
+TEST(SqlParserTest, OperatorChainsAreBoundedOrBalanced) {
+  auto chain = [](size_t ops, const std::string& op) {
+    std::string sql = "SELECT a";
+    for (size_t i = 0; i < ops; ++i) sql += " " + op + " 1";
+    return sql + " FROM t";
+  };
+  for (const char* op : {"+", "-", "*", "/", "%"}) {
+    // The select item's own expression is one level.
+    auto at = ParseSql(chain(kMaxSqlNesting - 1, op));
+    EXPECT_TRUE(at.ok()) << op << ": " << at.status();
+    auto past = ParseSql(chain(kMaxSqlNesting, op));
+    ASSERT_FALSE(past.ok()) << op;
+    EXPECT_TRUE(past.status().IsParseError()) << past.status();
+  }
+  auto where = [](const std::string& sql) {
+    auto stmt = ParseSql(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status();
+    return static_cast<SelectStmt*>(stmt->get())->where->ToString();
+  };
+  EXPECT_EQ(where("SELECT a FROM t WHERE a = 1 AND b = 2 AND c = 3"),
+            "(((a = 1) AND (b = 2)) AND (c = 3))");
+  EXPECT_EQ(where("SELECT a FROM t WHERE a = 1 OR b = 2 OR c = 3 OR d = 4"),
+            "(((a = 1) OR (b = 2)) OR ((c = 3) OR (d = 4)))");
+  EXPECT_EQ(where("SELECT a FROM t WHERE a IN (1, 2, 3, 4, 5)"),
+            "((((a = 1) OR (a = 2)) OR (a = 3)) OR ((a = 4) OR (a = 5)))");
+}
+
 // -------------------------------------------------------------- expressions
 
 class ExprEvalTest : public ::testing::Test {

@@ -4,7 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstring>
+#include <future>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/relational/buffer_pool.h"
@@ -148,6 +157,329 @@ TEST(BufferPoolTest, PinnedPagesAreNotEvicted) {
   auto p3 = pool.NewPage();
   EXPECT_FALSE(p3.ok());
   EXPECT_TRUE(p3.status().IsInternal());
+}
+
+// ---------------------------------------- buffer pool: loads and CLOCK
+
+// A MemoryBackend that counts ReadPage calls and can hold the next read at
+// a gate until Release(), and fail it. The pool owns it; tests keep a raw
+// pointer.
+class GatedBackend : public StorageBackend {
+ public:
+  Result<uint32_t> AllocatePage() override { return inner_.AllocatePage(); }
+  Status WritePage(uint32_t id, const char* buf) override {
+    return inner_.WritePage(id, buf);
+  }
+  uint32_t page_count() const override { return inner_.page_count(); }
+
+  Status ReadPage(uint32_t id, char* buf) override {
+    reads_.fetch_add(1);
+    bool fail = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (hold_next_) {
+        hold_next_ = false;
+        fail = fail_held_;
+        ++held_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    if (fail) return Status::IOError("injected read failure");
+    return inner_.ReadPage(id, buf);
+  }
+
+  /// The next ReadPage blocks until Release(), then fails if `fail`.
+  void HoldNextRead(bool fail = false) {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_next_ = true;
+    fail_held_ = fail;
+    released_ = false;
+  }
+  /// Waits until a read is parked at the gate.
+  bool WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return held_ > 0; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    held_ = 0;
+    cv_.notify_all();
+  }
+  int reads() const { return reads_.load(); }
+
+ private:
+  MemoryBackend inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool hold_next_ = false;
+  bool fail_held_ = false;
+  bool released_ = false;
+  int held_ = 0;
+  std::atomic<int> reads_{0};
+};
+
+// Writes `n` pages straight into `backend`, page i filled with byte 'a'+i,
+// so a pool over it starts with nothing resident.
+void FillPages(StorageBackend* backend, int n) {
+  for (int i = 0; i < n; ++i) {
+    auto id = backend->AllocatePage();
+    ASSERT_TRUE(id.ok()) << id.status();
+    std::vector<char> page(kPageSize, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(backend->WritePage(*id, page.data()).ok());
+  }
+}
+
+bool PageHolds(const PageHandle& p, int i) {
+  const char want = static_cast<char>('a' + i % 26);
+  for (size_t b = 0; b < kPageSize; ++b) {
+    if (p.data()[b] != want) return false;
+  }
+  return true;
+}
+
+// Polls `done` for up to 10 s: true once it holds.
+template <typename Pred>
+bool Eventually(Pred done) {
+  for (int i = 0; i < 10000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(BufferPoolLoadTest, SamePageFaultedByFourThreadsIsReadOnce) {
+  auto owned = std::make_unique<GatedBackend>();
+  GatedBackend* backend = owned.get();
+  FillPages(backend, 4);
+  BufferPool pool(std::move(owned), 8);
+  backend->HoldNextRead();
+  std::atomic<int> correct{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      auto p = pool.FetchPage(2);
+      if (p.ok() && PageHolds(*p, 2)) ++correct;
+    });
+  }
+  ASSERT_TRUE(backend->WaitHeld());
+  // The three fetchers behind the first pin its loading frame (counted as
+  // hits) and wait on it rather than on the table latch.
+  bool all_waiting = Eventually([&] { return pool.hit_count() == 3; });
+  backend->Release();
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(all_waiting) << "hits before the load finished: "
+                           << pool.hit_count();
+  EXPECT_EQ(correct.load(), 4);
+  EXPECT_EQ(backend->reads(), 1);
+  EXPECT_EQ(pool.miss_count(), 1u);
+  EXPECT_EQ(pool.pinned_frame_count(), 0u);
+}
+
+TEST(BufferPoolLoadTest, HitsAndOtherMissesProceedWhileAReadIsInFlight) {
+  auto owned = std::make_unique<GatedBackend>();
+  GatedBackend* backend = owned.get();
+  FillPages(backend, 4);
+  BufferPool pool(std::move(owned), 8);
+  ASSERT_TRUE(pool.FetchPage(0).ok());  // resident, unpinned
+  backend->HoldNextRead();
+  std::thread slow([&] {
+    auto p = pool.FetchPage(1);
+    EXPECT_TRUE(p.ok() && PageHolds(*p, 1));
+  });
+  ASSERT_TRUE(backend->WaitHeld());
+  // With page 1's read parked, a hit on page 0 and a miss on page 3 both
+  // complete: neither waits behind the in-flight read.
+  auto others = std::async(std::launch::async, [&] {
+    auto hit = pool.FetchPage(0);
+    auto miss = pool.FetchPage(3);
+    return hit.ok() && PageHolds(*hit, 0) && miss.ok() && PageHolds(*miss, 3);
+  });
+  bool finished =
+      others.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  backend->Release();
+  slow.join();
+  EXPECT_TRUE(finished);
+  EXPECT_TRUE(others.get());
+  EXPECT_EQ(pool.pinned_frame_count(), 0u);
+}
+
+TEST(BufferPoolLoadTest, ThreadsFaultingDistinctPagesReadCorrectBytes) {
+  auto backend = FileBackend::Open(::testing::TempDir() + "/pool_load.db");
+  ASSERT_TRUE(backend.ok()) << backend.status();
+  constexpr int kPages = 32;
+  FillPages(backend->get(), kPages);
+  BufferPool pool(std::move(backend).value(), 4);  // 4 frames, 32 pages
+  constexpr int kThreads = 4;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(static_cast<uint64_t>(t) + 1);
+      // Each thread holds one pin at a time, so a miss always finds an
+      // unpinned frame among the four.
+      for (int i = 0; i < 400; ++i) {
+        int page = static_cast<int>(rng.Uniform(0, kPages - 1));
+        auto p = pool.FetchPage(static_cast<uint32_t>(page));
+        if (!p.ok() || !PageHolds(*p, page)) ++wrong;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(pool.miss_count(), 0u);
+  EXPECT_EQ(pool.pinned_frame_count(), 0u);
+}
+
+TEST(BufferPoolLoadTest, FailedReadReachesEveryWaiterAndTheNextFetchRetries) {
+  auto owned = std::make_unique<GatedBackend>();
+  GatedBackend* backend = owned.get();
+  FillPages(backend, 4);
+  BufferPool pool(std::move(owned), 8);
+  backend->HoldNextRead(/*fail=*/true);
+  std::atomic<int> io_errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      auto p = pool.FetchPage(1);
+      if (!p.ok() && p.status().IsIOError()) ++io_errors;
+    });
+  }
+  ASSERT_TRUE(backend->WaitHeld());
+  bool all_waiting = Eventually([&] { return pool.hit_count() == 3; });
+  backend->Release();
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(all_waiting);
+  EXPECT_EQ(io_errors.load(), 4);
+  EXPECT_EQ(backend->reads(), 1);
+  EXPECT_EQ(pool.pinned_frame_count(), 0u);
+  // The failed frame was unmapped: the next fetch reads the page again.
+  auto p = pool.FetchPage(1);
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_TRUE(PageHolds(*p, 1));
+  EXPECT_EQ(backend->reads(), 2);
+}
+
+TEST(BufferPoolClockTest, ReferencedFrameSurvivesOneSweep) {
+  auto owned = std::make_unique<GatedBackend>();
+  FillPages(owned.get(), 6);
+  BufferPool pool(std::move(owned), 3);
+  for (uint32_t id : {0u, 1u, 2u}) ASSERT_TRUE(pool.FetchPage(id).ok());
+  // Every frame is referenced: the sweep clears all three bits and takes
+  // the frame the hand started at (page 0).
+  ASSERT_TRUE(pool.FetchPage(3).ok());
+  ASSERT_TRUE(pool.FetchPage(1).ok());  // hit: page 1 is referenced again
+  const uint64_t misses = pool.miss_count();
+  // The hand now passes page 1 (clearing its bit) and evicts page 2.
+  ASSERT_TRUE(pool.FetchPage(4).ok());
+  ASSERT_TRUE(pool.FetchPage(1).ok());
+  EXPECT_EQ(pool.miss_count(), misses + 1) << "page 1 was evicted";
+  ASSERT_TRUE(pool.FetchPage(2).ok());
+  EXPECT_EQ(pool.miss_count(), misses + 2) << "page 2 stayed resident";
+}
+
+TEST(BufferPoolClockTest, LoadingAndPinnedFramesAreNeverVictims) {
+  auto owned = std::make_unique<GatedBackend>();
+  GatedBackend* backend = owned.get();
+  FillPages(backend, 4);
+  BufferPool pool(std::move(owned), 2);
+  backend->HoldNextRead();
+  std::thread loader([&] {
+    auto p = pool.FetchPage(0);
+    EXPECT_TRUE(p.ok() && PageHolds(*p, 0));
+  });
+  ASSERT_TRUE(backend->WaitHeld());
+  // Off this thread, so a pool that blocked here could not hang the test.
+  auto during = std::async(std::launch::async, [&]() -> std::string {
+    auto pinned = pool.FetchPage(1);
+    if (!pinned.ok()) return pinned.status().ToString();
+    if (!PageHolds(*pinned, 1)) return "page 1 read wrong bytes";
+    // One frame is loading, the other pinned: nothing to evict.
+    auto third = pool.FetchPage(2);
+    if (third.ok()) return "page 2 evicted a loading or pinned frame";
+    if (!third.status().IsInternal()) return third.status().ToString();
+    return "";
+  });
+  bool finished =
+      during.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  backend->Release();
+  loader.join();
+  ASSERT_TRUE(finished) << "fetches waited behind the in-flight read";
+  EXPECT_EQ(during.get(), "");
+  {
+    // Both frames ready and pinned: still nothing to evict.
+    auto a = pool.FetchPage(0);
+    auto b = pool.FetchPage(1);
+    ASSERT_TRUE(a.ok() && b.ok());
+    auto third = pool.FetchPage(2);
+    EXPECT_FALSE(third.ok());
+    EXPECT_TRUE(third.status().IsInternal()) << third.status();
+  }
+  auto p = pool.FetchPage(2);  // unpinned again: a victim exists
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_TRUE(PageHolds(*p, 2));
+}
+
+// Every statement releases every pin it took: reads, writes, joins, sorts,
+// failed statements and concurrent readers, on a file-backed database
+// whose 8-frame pool forces evictions.
+TEST(BufferPoolStatementTest, NoPinSurvivesAStatement) {
+  const std::string path = ::testing::TempDir() + "/pool_stmt.db";
+  std::remove(path.c_str());
+  std::remove((path + "-wal").c_str());
+  DatabaseOptions opts;
+  opts.file_path = path;
+  opts.buffer_capacity = 8;
+  auto dbr = Database::Open(opts);
+  ASSERT_TRUE(dbr.ok()) << dbr.status();
+  std::unique_ptr<Database> db = std::move(dbr).value();
+  BufferPool* pool = db->buffer_pool();
+  auto run = [&](const std::string& sql, bool expect_ok = true) {
+    auto r = db->Execute(sql);
+    EXPECT_EQ(r.ok(), expect_ok) << sql << " -> " << r.status();
+    EXPECT_EQ(pool->pinned_frame_count(), 0u) << "after " << sql;
+  };
+  run("CREATE TABLE t (a INT, b TEXT)");
+  run("CREATE INDEX t_a ON t (a)");
+  run("CREATE TABLE u (a INT, c INT)");
+  std::string filler(200, 'y');
+  for (int i = 0; i < 300; ++i) {
+    run("INSERT INTO t VALUES (" + std::to_string(i * 7 % 300) + ", '" +
+        filler + "')");
+    if (i % 10 == 0) {
+      run("INSERT INTO u VALUES (" + std::to_string(i) + ", 1)");
+    }
+  }
+  run("UPDATE t SET b = 'z' WHERE a < 20");
+  run("DELETE FROM t WHERE a >= 290");
+  run("INSERT INTO nope VALUES (1)", /*expect_ok=*/false);
+  const char* queries[] = {
+      "SELECT a, b FROM t",
+      "SELECT a FROM t WHERE a >= 100 AND a < 140",
+      "SELECT a FROM t WHERE a = 77",
+      "SELECT t.a, u.c FROM t, u WHERE t.a = u.a",
+      "SELECT a FROM t ORDER BY b, a LIMIT 5",
+      "SELECT COUNT(*) FROM t",
+  };
+  for (const char* q : queries) {
+    auto rs = db->Query(q);
+    EXPECT_TRUE(rs.ok()) << q << " -> " << rs.status();
+    EXPECT_EQ(pool->pinned_frame_count(), 0u) << "after " << q;
+  }
+  std::vector<std::thread> readers;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 20; ++i) {
+        if (!db->Query(queries[(t + i) % 6]).ok()) ++failures;
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pool->pinned_frame_count(), 0u);
+  EXPECT_GT(pool->miss_count(), 0u);
 }
 
 // -------------------------------------------------------------- row codec
